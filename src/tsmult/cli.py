@@ -184,7 +184,6 @@ def to_germ(expr: GermExpr) -> Germ:
 @dataclass
 class Config:
     window: Fraction = Fraction(2)
-    box_bound: int = 10
     mc_seed: int = 0
     mc_shells: int = 12
     mc_samples: int = 20000
@@ -193,7 +192,7 @@ class Config:
     def __post_init__(self) -> None:
         if self.window <= 0:
             raise TsmultError("window must be positive")
-        if self.box_bound <= 0 or self.mc_shells <= 0 or self.mc_samples <= 0:
+        if self.mc_shells <= 0 or self.mc_samples <= 0:
             raise TsmultError("bounds must be positive")
 
 

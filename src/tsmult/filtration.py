@@ -76,11 +76,8 @@ class JumpChain:
     @property
     def steps(self) -> tuple[JumpStep, ...]:
         if self._steps is None:
-            levels = weights.achieved_levels(self.model, self.window)
-            self._steps = tuple(
-                JumpStep(lv, weights.generators_at(self.model, lv, strict=True))
-                for lv in levels
-            )
+            self._steps = tuple(JumpStep(lv, ideal) for lv, ideal
+                                in weights._strict_steps(self.model, self.window))
         return self._steps
 
     @property

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import prod
+from math import lcm, prod
 from typing import Sequence
 
 from . import weights
@@ -20,6 +20,7 @@ from .filtration import MICROLOCAL, USUAL, JumpChain, chain_from_model
 from .monomial import Rat, as_fraction
 
 DEFAULT_WINDOW = Fraction(2)
+_ONE = Fraction(1)  # shared by default coefficients and lct; Fractions are immutable
 
 
 def one_var_weight(m: int, k: int, usual: bool = False) -> Rat:
@@ -54,12 +55,14 @@ class Germ:
             raise GermUnsupported("variable count does not match exponent count")
         if len(set(names)) != len(names):
             raise GermUnsupported(f"variable names must be distinct, got {names}")
-        coeffs = self.coefficients or (Fraction(1),) * len(ms)
-        coeffs = tuple(as_fraction(c) for c in coeffs)
-        if len(coeffs) != len(ms):
-            raise GermUnsupported("coefficient count does not match exponent count")
-        if any(c == 0 for c in coeffs):
-            raise GermUnsupported("coefficients must be nonzero")
+        if self.coefficients:
+            coeffs = tuple(as_fraction(c) for c in self.coefficients)
+            if len(coeffs) != len(ms):
+                raise GermUnsupported("coefficient count does not match exponent count")
+            if any(c == 0 for c in coeffs):
+                raise GermUnsupported("coefficients must be nonzero")
+        else:
+            coeffs = (_ONE,) * len(ms)
         object.__setattr__(self, "exponents", ms)
         object.__setattr__(self, "var_names", names)
         object.__setattr__(self, "coefficients", coeffs)
@@ -125,12 +128,13 @@ def one_var_usual_chain(m: int, window: Fraction = Fraction(1)) -> JumpChain:
 
 def alpha_tilde(germ: Germ) -> Rat:
     """Minimal achieved level of the microlocal chain: sum of 1/m_j."""
-    return sum((Fraction(1, m) for m in germ.exponents), Fraction(0))
+    denom = lcm(*germ.exponents)
+    return Fraction(sum(denom // m for m in germ.exponents), denom)
 
 
 def lct(germ: Germ) -> Rat:
     """Log canonical threshold: the minimal level clamped at 1."""
-    return min(Fraction(1), alpha_tilde(germ))
+    return min(_ONE, alpha_tilde(germ))
 
 
 def milnor_number(germ: Germ) -> int:

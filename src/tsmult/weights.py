@@ -144,14 +144,69 @@ def _scaled_threshold(model: WeightModel, alpha: Fraction, strict: bool) -> int:
     return -((-num) // den)
 
 
+def _near_cap(model: WeightModel, t: int | np.ndarray) -> bool | np.ndarray:
+    """Scaled thresholds t within 1 of the cap, where generators may be missing."""
+    return (t + model.denom) * model.cap.denominator > model.cap.numerator * model.denom
+
+
 def generators_at(model: WeightModel, alpha: Fraction, strict: bool) -> MonomialIdeal:
     """Minimal generators of {w >= alpha} (or {w > alpha} when strict)."""
     t = _scaled_threshold(model, alpha, strict)
-    if (t + model.denom) * model.cap.denominator > model.cap.numerator * model.denom:
+    if _near_cap(model, t):
         raise WindowExceeded(f"threshold {alpha} is too close to the model cap {model.cap}")
-    mask = (model.weight >= t) & (model.drop < t)
-    rows = model.exps[mask]
-    return MonomialIdeal(model.dim, [tuple(int(v) for v in r) for r in rows], _trusted=True)
+    rows = model.exps[(model.weight >= t) & (model.drop < t)]
+    return MonomialIdeal(model.dim, list(map(tuple, rows.tolist())), _trusted=True)
+
+
+def _strict_steps(model: WeightModel, hi: Fraction
+                 ) -> tuple[tuple[Fraction, MonomialIdeal], ...]:
+    """Every achieved level v in (0, hi) with the minimal generators of {w > v}.
+
+    Equal, level by level, to pairing achieved_levels(model, hi) with
+    generators_at(model, v, strict=True), but computed in one pass.
+
+    Invariant: an atom g is a minimal generator of {w > v} exactly when
+    drop(g) <= v < w(g).  Proof: w is monotone, so {w > v} is an upward
+    closed set of exponents and g is one of its minimal elements iff
+    w(g) > v and no g' < g has w(g') > v.  Any g' < g lies below some
+    single-step decrement g - e_j, and w(g - e_j) >= w(g'), so it is
+    enough to ask that every decrement has weight <= v, i.e. that their
+    largest weight drop(g) is <= v (NO_DROP for g = 0, which has none).
+    The table holds every generator needed: w(g) is drop(g) plus one
+    increment of at most 1, so w(g) <= v + 1 < cap by the guard below.
+
+    Each atom is therefore a generator on a contiguous run of level
+    indices, [searchsorted(drop), searchsorted(weight)), and the steps
+    are the (level, atom) pairs of those runs, grouped by level.  The
+    work is O(atoms log levels + total generators); only atoms that are
+    ever a generator become tuples, each once, shared across steps.
+    """
+    levels = _levels_below(model, hi)
+    if not len(levels):
+        return ()
+    near = levels[_near_cap(model, levels + 1)]
+    if len(near):
+        raise WindowExceeded(f"threshold {Fraction(int(near[0]), model.denom)} "
+                             f"is too close to the model cap {model.cap}")
+    first = np.searchsorted(levels, model.drop, side="left")
+    runs = np.maximum(np.searchsorted(levels, model.weight, side="left") - first, 0)
+    used = np.flatnonzero(runs)
+    runs = runs[used]
+    # level index of each (level, atom) pair: the atom's first level plus
+    # its offset within the run; atoms are in lex order, and the stable
+    # sort keeps that order inside each level, as MonomialIdeal needs
+    starts = np.cumsum(runs) - runs
+    pair_level = (np.repeat(first[used] - starts, runs)
+                  + np.arange(int(runs.sum()), dtype=np.int64))
+    order = np.argsort(pair_level, kind="stable")
+    pair_atom = np.repeat(np.arange(len(used)), runs)[order]
+    bounds = np.searchsorted(pair_level[order], np.arange(len(levels) + 1)).tolist()
+    gens = np.fromiter(map(tuple, model.exps[used].tolist()), dtype=object, count=len(used))
+    pair_gens = gens[pair_atom].tolist()
+    return tuple(
+        (Fraction(v, model.denom),
+         MonomialIdeal(model.dim, tuple(pair_gens[bounds[i]:bounds[i + 1]]), _trusted=True))
+        for i, v in enumerate(levels.tolist()))
 
 
 def graded_exponents(model: WeightModel, alpha: Fraction) -> tuple[tuple[int, ...], ...]:
@@ -162,17 +217,20 @@ def graded_exponents(model: WeightModel, alpha: Fraction) -> tuple[tuple[int, ..
     if num % alpha.denominator:
         return ()
     t = num // alpha.denominator
-    rows = model.exps[model.weight == t]
-    return tuple(tuple(int(v) for v in r) for r in rows)
+    return tuple(map(tuple, model.exps[model.weight == t].tolist()))
 
 
 def achieved_levels(model: WeightModel, hi: Fraction) -> tuple[Fraction, ...]:
     """Distinct weight values in (0, hi), sorted increasingly."""
+    return tuple(Fraction(v, model.denom) for v in _levels_below(model, hi).tolist())
+
+
+def _levels_below(model: WeightModel, hi: Fraction) -> np.ndarray:
+    """Sorted distinct scaled weights in (0, hi)."""
     if hi > model.cap:
         raise WindowExceeded(f"window {hi} exceeds the model cap {model.cap}")
     vals = np.unique(model.weight)
-    vals = vals[(vals > 0) & (vals * hi.denominator < hi.numerator * model.denom)]
-    return tuple(Fraction(int(v), model.denom) for v in vals)
+    return vals[(vals > 0) & (vals * hi.denominator < hi.numerator * model.denom)]
 
 
 def models_equal(a: WeightModel, b: WeightModel) -> bool:

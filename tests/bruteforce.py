@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Sequence
 
 
@@ -44,16 +45,27 @@ def bf_diagonal_gens(ms: Sequence[int], alpha: Fraction, *, strict: bool,
     """Minimal monomials of {weight-sum >= alpha} (or > alpha) by brute box scan."""
     weight = bf_usual_weight if usual else bf_micro_weight
     alpha = Fraction(alpha)
+    # If nu is minimal and nu_j > 0, lowering nu_j by one leaves the set,
+    # so weight(m_j, nu_j - 1) plus the least weights of the other
+    # coordinates is at most alpha; the box is down-closed, so minimal
+    # points of the box's members are minimal in the whole set.
+    least = [weight(m, 0) for m in ms]
     bounds = []
-    for m in ms:
+    for j, m in enumerate(ms):
+        room = alpha - (sum(least) - least[j])
         k = 0
-        while weight(m, k) < alpha + 1:
+        while weight(m, k) <= room:
             k += 1
-        bounds.append(k + 1)
+        bounds.append(k)
+    # weights scaled by lcm(ms) are integers, so the scan adds ints
+    scale = lcm(*ms)
+    tables = [[int(weight(m, k) * scale) for k in range(b + 1)]
+              for m, b in zip(ms, bounds)]
+    cut = alpha * scale
     members = []
     for nu in itertools.product(*(range(b + 1) for b in bounds)):
-        w = sum(weight(m, k) for m, k in zip(ms, nu))
-        if (w > alpha) if strict else (w >= alpha):
+        w = sum(t[k] for t, k in zip(tables, nu))
+        if (w > cut) if strict else (w >= cut):
             members.append(nu)
     return bf_minimal(members)
 

@@ -7,9 +7,10 @@ from tsmult.convolution import (alpha_one_sequence_check, irrationality_dim,
                                 irrationality_module, ts_convolve_chains,
                                 ts_graded, ts_jumpset, ts_lct, ts_multiplier)
 from tsmult.errors import ChainKindError, NotReduced, WindowExceeded
-from tsmult.filtration import jumpset_of, v_lookup
+from tsmult.filtration import jumpset_of, v_lookup, v_to_j
 from tsmult.germs import (Germ, diagonal_microlocal_chain, diagonal_usual_chain,
                           lct, one_var_microlocal_chain)
+from tsmult.weights import achieved_levels, generators_at
 
 from bruteforce import bf_diagonal_gens, bf_pair_sum_v
 
@@ -21,6 +22,23 @@ def test_convolve_pairs_match_direct():
                                     one_var_microlocal_chain(m2))
         assert joined == direct, (m1, m2)
         assert joined.window == F(2)
+
+
+@pytest.mark.parametrize("ms,cut", [((50, 49), 1), ((12, 11, 10), 1), ((9, 9, 9, 9), 2)])
+def test_swept_steps_match_point_lookups(ms, cut):
+    window = F(2)
+
+    def convolved():
+        return ts_convolve_chains(diagonal_microlocal_chain(Germ(ms[:cut]), window),
+                                  diagonal_microlocal_chain(Germ(ms[cut:]), window))
+
+    chain = convolved()
+    steps = chain.steps
+    assert tuple(s.level for s in steps) == achieved_levels(chain.model, window)
+    for s in steps:
+        assert s.ideal == generators_at(chain.model, s.level, strict=True), s.level
+    # a J-view made before any sweep materialises the same steps
+    assert v_to_j(convolved()).steps == steps
 
 
 def test_convolve_window_rules():

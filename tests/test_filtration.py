@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction as F
 
 import pytest
@@ -11,7 +12,7 @@ from tsmult.germs import (Germ, diagonal_microlocal_chain, diagonal_usual_chain,
 from tsmult.monomial import MonomialIdeal
 from tsmult.weights import diagonal_model
 
-from bruteforce import bf_diagonal_gens
+from bruteforce import bf_diagonal_gens, bf_weight_levels
 
 
 def test_one_var_cubic_chain_golden():
@@ -124,6 +125,26 @@ def test_usual_chain_matches_bruteforce():
                 bf_diagonal_gens(ms, alpha, strict=True, usual=True)), (ms, alpha)
 
 
+def test_swept_steps_match_bruteforce():
+    shapes = [ms for d in (1, 2) for ms in itertools.product(range(2, 8), repeat=d)]
+    shapes += list(itertools.product(range(2, 5), repeat=3))
+    brute = {}  # the ideal at a level does not depend on the window
+    for ms in shapes:
+        for window in (F(1), F(3, 2), F(2), F(3)):
+            steps = diagonal_microlocal_chain(Germ(ms), window=window).steps
+            assert [s.level for s in steps] == bf_weight_levels(ms, window), (ms, window)
+            for s in steps:
+                key = (ms, s.level)
+                if key not in brute:
+                    brute[key] = tuple(bf_diagonal_gens(ms, s.level, strict=True))
+                assert s.ideal.gens == brute[key], (ms, window, s.level)
+        steps = diagonal_usual_chain(Germ(ms)).steps
+        assert [s.level for s in steps] == bf_weight_levels(ms, F(1), usual=True), ms
+        for s in steps:
+            assert s.ideal.gens == tuple(
+                bf_diagonal_gens(ms, s.level, strict=True, usual=True)), (ms, s.level)
+
+
 def test_periodic_extend():
     chain = diagonal_usual_chain(Germ((2, 3)))
     assert periodic_extend(chain, F(0)) == periodic_extend(chain, F(0))
@@ -146,6 +167,21 @@ def test_periodic_extend_needs_usual_j_chain():
         periodic_extend(micro, F(1, 2))
     with pytest.raises(ChainKindError):
         periodic_extend(v_to_j(micro), F(1, 2))
+
+
+def test_steps_keep_both_window_guards():
+    model = diagonal_model((2, 3), cap=F(2))
+
+    def steps(window):
+        return JumpChain("V", "microlocal", window, 2, MonomialIdeal.unit(2),
+                         model=model).steps
+
+    with pytest.raises(WindowExceeded, match="exceeds the model cap"):
+        steps(F(3))
+    # 7/6 is an achieved level within 1 of the cap
+    with pytest.raises(WindowExceeded, match="threshold 7/6 is too close"):
+        steps(F(3, 2))
+    assert steps(F(1)) == (JumpStep(F(5, 6), MonomialIdeal(2, [(0, 1), (1, 0)])),)
 
 
 def test_chain_from_model_needs_headroom():
