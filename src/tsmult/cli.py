@@ -185,15 +185,10 @@ def to_germ(expr: GermExpr) -> Germ:
 class Config:
     window: Fraction = Fraction(2)
     mc_seed: int = 0
-    mc_shells: int = 12
-    mc_samples: int = 20000
-    output: str = "text"
 
     def __post_init__(self) -> None:
         if self.window <= 0:
             raise TsmultError("window must be positive")
-        if self.mc_shells <= 0 or self.mc_samples <= 0:
-            raise TsmultError("bounds must be positive")
 
 
 def _rat(text: str) -> Fraction:
@@ -222,8 +217,7 @@ def _config(args: argparse.Namespace) -> Config:
         window = _default_window()
     seed = getattr(args, "seed", None)
     return Config(window=window,
-                  mc_seed=0 if seed is None else seed,
-                  output="json" if args.json else "text")
+                  mc_seed=0 if seed is None else seed)
 
 
 def _emit(args: argparse.Namespace, payload: dict, lines: Sequence[str]) -> None:
@@ -372,8 +366,7 @@ def _suite_spectral() -> list[dict]:
 
 
 def _suite_montecarlo(cfg: Config, count: int = 40) -> tuple[list[dict], float]:
-    mc_config = MonteCarloConfig(shells=cfg.mc_shells, samples=cfg.mc_samples,
-                                 seed=cfg.mc_seed)
+    mc_config = MonteCarloConfig(seed=cfg.mc_seed)
     cases = []
     agree = 0
     for case in mc_case_set(count=count, seed=cfg.mc_seed + 1):

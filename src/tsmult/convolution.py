@@ -20,13 +20,6 @@ from .monomial import (MonomialIdeal, QuotientBasis, Rat, colength,
                        quotient_basis)
 
 
-def _require_model(chain: JumpChain) -> weights.WeightModel:
-    if chain.model is None:
-        raise ChainKindError("this operation needs a model-backed chain "
-                             "(built by the germ chain constructors)")
-    return chain.model
-
-
 def ts_convolve_chains(c1: JumpChain, c2: JumpChain,
                        window: Fraction | None = None) -> JumpChain:
     """Microlocal V-chain of the disjoint-variable sum of two germs."""
@@ -37,7 +30,7 @@ def ts_convolve_chains(c1: JumpChain, c2: JumpChain,
     window = max_window if window is None else Fraction(window)
     if window > max_window:
         raise WindowExceeded(f"requested window {window} exceeds a factor window {max_window}")
-    model = weights.convolve(_require_model(c1), _require_model(c2), cap=window + 2)
+    model = weights.convolve(c1.model, c2.model, cap=window + 2)
     return chain_from_model(model, window, mode="V", family=MICROLOCAL)
 
 
@@ -55,7 +48,7 @@ def ts_multiplier(c1: JumpChain, c2: JumpChain, alpha: Fraction) -> MonomialIdea
         raise ChainKindError("factor chains must be of the same family")
     if min(c1.window, c2.window) < 1:
         raise WindowExceeded("factor chains must cover the window [0, 1)")
-    model = weights.convolve(_require_model(c1), _require_model(c2), cap=Fraction(2))
+    model = weights.convolve(c1.model, c2.model, cap=Fraction(2))
     return weights.generators_at(model, alpha, strict=True)
 
 
@@ -108,14 +101,12 @@ def ts_graded(c1: JumpChain, c2: JumpChain, alpha: Fraction) -> list[GradedSumma
             raise ChainKindError("graded convolution expects microlocal V-mode chains")
         if alpha >= c.window:
             raise WindowExceeded(f"alpha = {alpha} outside factor window [0, {c.window})")
-    m1 = _require_model(c1)
-    m2 = _require_model(c2)
     out = []
     for lv in c1.levels:
         if not 0 < alpha - lv:
             continue
-        e1 = weights.graded_exponents(m1, lv)
-        e2 = weights.graded_exponents(m2, alpha - lv)
+        e1 = weights.graded_exponents(c1.model, lv)
+        e2 = weights.graded_exponents(c2.model, alpha - lv)
         if e1 and e2:
             out.append(GradedSummand(lv, alpha - lv,
                                      QuotientBasis(finite=True, exponents=e1),

@@ -3,20 +3,18 @@
 A JumpChain represents a decreasing filtration on a finite window [0, W).
 V-mode chains are left-continuous (the value at a jump level belongs to
 the lower segment), J-mode chains are right-continuous.  Both are views
-of the same data: the sorted jump levels together with the ideal that
-holds just after each jump.
+of one weight model, whose sorted jump levels and the ideal that holds
+just after each jump are derived from its atom table.
 """
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
 
 from . import weights
 from .errors import ChainKindError, WindowExceeded
-from .monomial import MonomialIdeal, QuotientBasis, ScaledIdeal, quotient_basis
+from .monomial import MonomialIdeal, QuotientBasis, ScaledIdeal
 
 MICROLOCAL = "microlocal"
 USUAL = "usual"
@@ -47,31 +45,34 @@ class JumpSet:
 class JumpChain:
     """A V- or J-mode chain of monomial ideals on [0, window).
 
-    Each stored step holds the ideal valid just after its level, so the
-    final open segment up to the window is always represented.  Chains
-    built from a weight model materialize their steps lazily.
+    A view of one weight model: each step holds the ideal valid just after
+    its level, so the final open segment up to the window is always
+    represented.  Steps are materialized lazily, once.
     """
 
-    __slots__ = ("mode", "family", "window", "dim", "top", "model", "_steps")
+    __slots__ = ("model", "mode", "family", "window", "_steps")
 
-    def __init__(self, mode: str, family: str, window: Fraction, dim: int,
-                 top: MonomialIdeal, steps: Iterable[JumpStep] | None = None,
-                 model: weights.WeightModel | None = None):
+    def __init__(self, model: weights.WeightModel, mode: str, family: str,
+                 window: Fraction):
         if mode not in ("V", "J"):
             raise ChainKindError(f"unknown chain mode {mode!r}")
         if family not in (MICROLOCAL, USUAL):
             raise ChainKindError(f"unknown chain family {family!r}")
         if window <= 0:
             raise ValueError("window must be positive")
+        self.model = model
         self.mode = mode
         self.family = family
         self.window = Fraction(window)
-        self.dim = dim
-        self.top = top
-        self.model = model
-        self._steps = tuple(steps) if steps is not None else None
-        if self._steps is None and model is None:
-            raise ValueError("a chain needs explicit steps or a weight model")
+        self._steps = None
+
+    @property
+    def dim(self) -> int:
+        return self.model.dim
+
+    @property
+    def top(self) -> MonomialIdeal:
+        return MonomialIdeal.unit(self.model.dim)
 
     @property
     def steps(self) -> tuple[JumpStep, ...]:
@@ -91,22 +92,6 @@ class JumpChain:
         if alpha < 0 or alpha >= self.window:
             raise WindowExceeded(f"alpha = {alpha} outside the computed window [0, {self.window})")
         return alpha
-
-    def _value_left(self, alpha: Fraction) -> MonomialIdeal:
-        """Value of the left-continuous filtration at alpha."""
-        if self.model is not None:
-            return weights.generators_at(self.model, alpha, strict=False)
-        levels = [s.level for s in self.steps]
-        i = bisect.bisect_left(levels, alpha)
-        return self.top if i == 0 else self.steps[i - 1].ideal
-
-    def _value_right(self, alpha: Fraction) -> MonomialIdeal:
-        """Value of the right-continuous filtration at alpha."""
-        if self.model is not None:
-            return weights.generators_at(self.model, alpha, strict=True)
-        levels = [s.level for s in self.steps]
-        i = bisect.bisect_right(levels, alpha)
-        return self.top if i == 0 else self.steps[i - 1].ideal
 
     def to_json(self) -> dict:
         if self.mode == "J":
@@ -133,10 +118,7 @@ class JumpChain:
         if (self.mode, self.family, self.window, self.dim) != \
                 (other.mode, other.family, other.window, other.dim):
             return False
-        if self.model is not None and other.model is not None \
-                and weights.models_equal(self.model, other.model):
-            return True
-        return self.top == other.top and self.steps == other.steps
+        return weights.models_equal(self.model, other.model) or self.steps == other.steps
 
     __hash__ = None
 
@@ -149,30 +131,30 @@ def chain_from_model(model: weights.WeightModel, window: Fraction, mode: str,
                      family: str) -> JumpChain:
     if window + 2 > model.cap:
         raise WindowExceeded(f"window {window} needs a model cap of at least {window + 2}")
-    return JumpChain(mode, family, window, model.dim,
-                     MonomialIdeal.unit(model.dim), model=model)
+    return JumpChain(model, mode, family, window)
 
 
 def v_lookup(chain: JumpChain, alpha: Fraction) -> MonomialIdeal:
     """Left-continuous value: the ideal spanned by weights >= alpha."""
     if chain.mode != "V":
         raise ChainKindError("v_lookup needs a V-mode chain")
-    return chain._value_left(chain._check_window(alpha))
+    return weights.generators_at(chain.model, chain._check_window(alpha), strict=False)
 
 
 def j_lookup(chain: JumpChain, alpha: Fraction) -> MonomialIdeal:
     """Right-continuous value: the ideal spanned by weights > alpha."""
     if chain.mode != "J":
         raise ChainKindError("j_lookup needs a J-mode chain; apply v_to_j first")
-    return chain._value_right(chain._check_window(alpha))
+    return weights.generators_at(chain.model, chain._check_window(alpha), strict=True)
 
 
 def v_to_j(chain: JumpChain) -> JumpChain:
     """Right-continuous view of a V-mode chain: same levels, post-jump values."""
     if chain.mode != "V":
         raise ChainKindError("v_to_j expects a V-mode chain")
-    return JumpChain("J", chain.family, chain.window, chain.dim, chain.top,
-                     steps=chain._steps, model=chain.model)
+    view = JumpChain(chain.model, "J", chain.family, chain.window)
+    view._steps = chain._steps
+    return view
 
 
 def graded_at(chain: JumpChain, alpha: Fraction) -> QuotientBasis:
@@ -180,10 +162,7 @@ def graded_at(chain: JumpChain, alpha: Fraction) -> QuotientBasis:
     if chain.mode != "V":
         raise ChainKindError("graded_at expects a V-mode chain")
     alpha = chain._check_window(alpha)
-    if chain.model is not None:
-        return QuotientBasis(finite=True,
-                             exponents=weights.graded_exponents(chain.model, alpha))
-    return quotient_basis(chain._value_left(alpha), chain._value_right(alpha))
+    return QuotientBasis(finite=True, exponents=weights.graded_exponents(chain.model, alpha))
 
 
 def jumpset_of(chain: JumpChain) -> JumpSet:

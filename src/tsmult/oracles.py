@@ -17,8 +17,8 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import OracleMismatch
-from .germs import Germ, one_var_weight, one_var_usual_chain
-from .filtration import j_lookup
+from .germs import Germ, diagonal_microlocal_chain, one_var_weight, one_var_usual_chain
+from .filtration import j_lookup, jumpset_of, usual_jumpset
 from .monomial import MonomialIdeal, Rat, external_product, ideal_sum
 
 
@@ -236,22 +236,6 @@ class MonteCarloCase:
     exact_integrable: bool
 
 
-def _usual_jump_values(ms: Sequence[int], hi: Fraction) -> set[Fraction]:
-    """Usual jumping coefficients below hi, from the microlocal levels."""
-    from . import weights as _weights
-
-    model = _weights.diagonal_model(ms, cap=hi + 1, usual=False)
-    micro = set(_weights.achieved_levels(model, hi))
-    base = {v for v in micro if v < 1} | {Fraction(1)}
-    out = set()
-    for v in base:
-        shift = 0
-        while v + shift < hi:
-            out.add(v + shift)
-            shift += 1
-    return out
-
-
 def mc_case_set(count: int = 200, seed: int = 1,
                 min_gap: Fraction = Fraction(1, 20)) -> list[MonteCarloCase]:
     """Deterministic random cases keeping alpha away from every jump.
@@ -270,7 +254,8 @@ def mc_case_set(count: int = 200, seed: int = 1,
         germ = Germ(ms)
         weight = sum(one_var_weight(m, v, usual=True) for m, v in zip(ms, nu))
         threshold = min(weight, Fraction(1))
-        guarded = _usual_jump_values(ms, Fraction(2)) | {threshold}
+        micro = jumpset_of(diagonal_microlocal_chain(germ, window=Fraction(1)))
+        guarded = set(usual_jumpset(micro, Fraction(2)).values) | {threshold}
         candidates = [Fraction(j, 60) for j in range(1, 58)
                       if all(abs(Fraction(j, 60) - t) >= min_gap for t in guarded)]
         if not candidates:

@@ -47,9 +47,6 @@ class WeightModel:
     weight: np.ndarray
     drop: np.ndarray
 
-    def level_of(self, row: int) -> Fraction:
-        return Fraction(int(self.weight[row]), self.denom)
-
 
 def _canonical(dim: int, denom: int, cap: Fraction, exps: np.ndarray,
                weight: np.ndarray, drop: np.ndarray) -> WeightModel:

@@ -78,8 +78,6 @@ def test_to_germ():
 def test_config_validation():
     with pytest.raises(TsmultError):
         Config(window=F(0))
-    with pytest.raises(TsmultError):
-        Config(mc_samples=0)
 
 
 # ---- commands ----

@@ -67,17 +67,20 @@ def test_mode_gating():
         v_to_j(j_chain)
 
 
-def test_chain_equality_model_vs_steps():
-    model_chain = one_var_microlocal_chain(3, window=F(2))
-    explicit = JumpChain(
-        mode="V", family="microlocal", window=F(2), dim=1,
-        top=MonomialIdeal.unit(1),
-        steps=[JumpStep(F(1, 3), MonomialIdeal(1, [(1,)])),
-               JumpStep(F(2, 3), MonomialIdeal(1, [(2,)])),
-               JumpStep(F(4, 3), MonomialIdeal(1, [(3,)])),
-               JumpStep(F(5, 3), MonomialIdeal(1, [(4,)]))])
-    assert model_chain == explicit
-    assert explicit == model_chain
+def test_chain_equality_across_model_caps():
+    chain = one_var_microlocal_chain(3, window=F(2))
+    # a larger cap gives a different atom table, so equality falls back to steps
+    wide = chain_from_model(diagonal_model((3,), cap=F(5)), F(2), "V", "microlocal")
+    assert chain == wide
+    assert wide == chain
+    assert chain != one_var_microlocal_chain(3, window=F(3, 2))
+    assert chain != one_var_microlocal_chain(4, window=F(2))
+
+
+def test_v_to_j_shares_filled_steps():
+    chain = one_var_microlocal_chain(3, window=F(2))
+    steps = chain.steps
+    assert v_to_j(chain).steps is steps
 
 
 def test_chain_json_shapes():
@@ -173,8 +176,7 @@ def test_steps_keep_both_window_guards():
     model = diagonal_model((2, 3), cap=F(2))
 
     def steps(window):
-        return JumpChain("V", "microlocal", window, 2, MonomialIdeal.unit(2),
-                         model=model).steps
+        return JumpChain(model, "V", "microlocal", window).steps
 
     with pytest.raises(WindowExceeded, match="exceeds the model cap"):
         steps(F(3))
