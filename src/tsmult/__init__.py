@@ -3,7 +3,8 @@ diagonal hypersurface germs and their separated-variable sums."""
 
 from .errors import (ChainKindError, DimensionMismatch, GermParseError,
                      GermUnsupported, InclusionError, InfiniteQuotient,
-                     NotReduced, OracleMismatch, TsmultError, WindowExceeded)
+                     NotReduced, OracleMismatch, ResourceLimit, TsmultError,
+                     WindowExceeded)
 from .monomial import (MonomialIdeal, QuotientBasis, ScaledIdeal, colength,
                        external_product, ideal_sum, quotient_basis)
 from .filtration import (JumpChain, JumpSet, JumpStep, chain_from_model,
@@ -31,9 +32,9 @@ __all__ = [
     "EigenTable", "Germ", "GermParseError", "GermUnsupported", "GradedSummand",
     "InclusionError", "InfiniteQuotient", "JumpChain", "JumpSet", "JumpStep",
     "MonomialIdeal", "MonteCarloCase", "MonteCarloConfig", "NotReduced",
-    "OracleMismatch", "QuotientBasis", "ScaledIdeal", "Spectrum", "TsmultError",
-    "WindowExceeded", "alpha_one_sequence_check", "alpha_tilde",
-    "chain_from_model", "colength", "consistency_check",
+    "OracleMismatch", "QuotientBasis", "ResourceLimit", "ScaledIdeal",
+    "Spectrum", "TsmultError", "WindowExceeded", "alpha_one_sequence_check",
+    "alpha_tilde", "chain_from_model", "colength", "consistency_check",
     "diagonal_microlocal_chain", "diagonal_usual_chain",
     "exact_monomial_integrable", "external_product", "fm_feasible",
     "fold_spectrum", "graded_at", "ideal_sum", "irrationality_dim",

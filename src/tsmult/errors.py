@@ -43,6 +43,10 @@ class OracleMismatch(TsmultError):
     """Two independent computation routes disagreed on a value."""
 
 
+class ResourceLimit(TsmultError):
+    """An input would need a table too large to allocate; refused up front."""
+
+
 class GermParseError(TsmultError):
     """The germ expression could not be parsed.
 

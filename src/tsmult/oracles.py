@@ -1,8 +1,9 @@
 """Independent verification routes for the symbolic engine.
 
-Three exact oracles (one-variable integrability, rational-LP membership
-in scaled Newton polyhedra, and a two-path summation-formula evaluation)
-plus one statistical oracle (Monte Carlo estimation of the defining
+Four exact oracles (one-variable integrability, rational-LP membership
+in scaled Newton polyhedra, a two-path summation-formula evaluation, and
+the weight model by enumeration of the whole exponent box) plus one
+statistical oracle (Monte Carlo estimation of the defining
 integral over dyadic shells).  The statistical oracle is advisory: it
 never gates a symbolic result, only its own agreement test.
 """
@@ -20,6 +21,7 @@ from .errors import OracleMismatch
 from .germs import Germ, diagonal_microlocal_chain, one_var_weight, one_var_usual_chain
 from .filtration import j_lookup, jumpset_of, usual_jumpset
 from .monomial import MonomialIdeal, Rat, external_product, ideal_sum
+from .weights import NO_DROP, WeightModel, _canonical, _one_var_scaled
 
 
 def one_var_integrable(g: int, m: int, alpha: Rat) -> bool:
@@ -74,6 +76,37 @@ def fm_feasible(constraints: Sequence[Constraint], nvars: int) -> bool:
                 return False
         work = pruned
     return True
+
+
+def box_model(ms: Sequence[int], cap: Fraction, usual: bool = False) -> WeightModel:
+    """weights.diagonal_model by enumerating the whole box ∏ len(table_j).
+
+    O(box) time and memory; kept as the independent route the pruned
+    column fold is checked against, never on the hot path.
+    """
+    ms = tuple(int(m) for m in ms)
+    if any(m < 2 for m in ms):
+        raise ValueError("diagonal model needs all exponents >= 2")
+    dim = len(ms)
+    denom = math.lcm(*ms)
+    tables = [_one_var_scaled(m, cap, denom, usual) for m in ms]
+    shape = tuple(len(t) for t in tables)
+    grid = np.indices(shape, dtype=np.int64).reshape(dim, -1).T
+    weight = np.zeros(grid.shape[0], dtype=np.int64)
+    min_inc = np.full(grid.shape[0], np.iinfo(np.int64).max, dtype=np.int64)
+    for j, table in enumerate(tables):
+        col = grid[:, j]
+        weight += table[col]
+        if len(table) > 1:
+            incs = np.diff(table)
+            has = col > 0
+            inc_here = np.where(has, incs[np.maximum(col, 1) - 1], np.iinfo(np.int64).max)
+            min_inc = np.minimum(min_inc, inc_here)
+    at_zero = (grid == 0).all(axis=1)
+    drop = np.where(at_zero, NO_DROP, weight - min_inc)
+    keep = weight * cap.denominator < cap.numerator * denom
+    keep |= at_zero
+    return _canonical(dim, denom, cap, grid[keep], weight[keep], drop[keep])
 
 
 def newton_membership(a: MonomialIdeal, nu: Sequence[int], alpha: Rat) -> bool:
@@ -256,8 +289,13 @@ def mc_case_set(count: int = 200, seed: int = 1,
         threshold = min(weight, Fraction(1))
         micro = jumpset_of(diagonal_microlocal_chain(germ, window=Fraction(1)))
         guarded = set(usual_jumpset(micro, Fraction(2)).values) | {threshold}
+        # compare integer numerators over one common denominator
+        den = math.lcm(60, min_gap.denominator, *(t.denominator for t in guarded))
+        gap = min_gap.numerator * (den // min_gap.denominator)
+        nums = [t.numerator * (den // t.denominator) for t in guarded]
+        step = den // 60
         candidates = [Fraction(j, 60) for j in range(1, 58)
-                      if all(abs(Fraction(j, 60) - t) >= min_gap for t in guarded)]
+                      if all(abs(j * step - t) >= gap for t in nums)]
         if not candidates:
             continue
         alpha = candidates[int(rng.integers(0, len(candidates)))]

@@ -21,13 +21,17 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatch, WindowExceeded
+from .errors import DimensionMismatch, ResourceLimit, WindowExceeded
 from .monomial import MonomialIdeal
 
 # drop value of the zero exponent, which has no decrements; kept far below
 # any rescaled finite value but safely away from int64 overflow
 NO_DROP = -(1 << 60)
 _SENTINEL_CUT = -(1 << 59)
+
+# largest table, in bytes, a model build may allocate; larger inputs are
+# refused with ResourceLimit before anything is allocated
+MAX_TABLE_BYTES = 1 << 30
 
 
 @dataclass
@@ -55,47 +59,88 @@ def _canonical(dim: int, denom: int, cap: Fraction, exps: np.ndarray,
                        weight[order], drop[order])
 
 
+def _admit(nbytes: int, what: str) -> None:
+    """Refuse a table of nbytes before it is allocated."""
+    if nbytes > MAX_TABLE_BYTES:
+        raise ResourceLimit(f"{what}: {nbytes} bytes (~{nbytes / (1 << 30):.1f} GiB) "
+                            f"is above the {MAX_TABLE_BYTES}-byte table limit")
+
+
+def _cut(cap: Fraction, denom: int) -> int:
+    """Integer c with w < c exactly when w / denom < cap, for integers w."""
+    return -((-cap.numerator * denom) // cap.denominator)
+
+
 def _one_var_scaled(m: int, cap: Fraction, denom: int, usual: bool) -> np.ndarray:
-    """Weight numerators over denom for z^k, k = 0.. while weight < cap."""
-    scale = denom // m
-    out = []
-    k = 0
-    while True:
-        i = k + 1 if usual else k + 1 + k // (m - 1)
-        if Fraction(i, m) >= cap and k > 0:
-            break
-        out.append(i * scale)
-        if Fraction(i, m) >= cap:
-            break
-        k += 1
-    return np.array(out, dtype=np.int64)
+    """Weight numerators over denom for z^k, k = 0.. while weight < cap.
+
+    The numerators over m, k + 1 (usual) or k + 1 + k // (m - 1)
+    (microlocal), increase strictly and are >= k + 1, so every k with
+    weight < cap is below cap * m and those k are a prefix.  z^0 is kept
+    even when its own weight reaches the cap.
+    """
+    bound = _cut(cap, m)
+    n = max(bound, 1)
+    _admit(8 * n, f"weight table of z^{m} below {cap} has {n} entries")
+    k = np.arange(n, dtype=np.int64)
+    nums = k + 1 if usual else k + 1 + k // (m - 1)
+    count = max(int(np.searchsorted(nums, bound)), 1)
+    return nums[:count] * (denom // m)
 
 
 def diagonal_model(ms: Sequence[int], cap: Fraction, usual: bool = False) -> WeightModel:
-    """Model of the weight g ↦ Σ_j w(m_j, g_j) on the box where it is < cap."""
+    """Model of the weight g ↦ Σ_j w(m_j, g_j) on the exponents where it is < cap.
+
+    Built by a pruned fold over the columns.  Invariant after column j:
+    the rows are the lex-sorted prefixes (g_0..g_j) whose weight plus
+    rest_j, the sum of t[0] over the later columns, is below the cap, plus
+    the zero prefix; each row carries its weight and the largest weight of
+    its single-step decrements.  Column j extends a row by the k with
+    t_j[k] below cap - weight - rest_j, a prefix of t_j because the table
+    increases strictly, so one searchsorted gives each row's count.  Runs
+    of a repeated row keep k ascending, so the rows stay lex-sorted with
+    no sort.  An extension's drop is max(drop + t_j[k], weight + t_j[k-1]):
+    a decrement in an earlier column, or in column j itself when k > 0.
+
+    Every kept prefix extends by zeros to a distinct final atom, so no
+    intermediate table is larger than the result and the work is
+    O(d · atoms), where enumerating the box ∏ len(t_j) was O(box).  The
+    atom count of each column is known before its rows are allocated, and
+    a table above MAX_TABLE_BYTES is refused with ResourceLimit.
+    """
     ms = tuple(int(m) for m in ms)
     if any(m < 2 for m in ms):
         raise ValueError("diagonal model needs all exponents >= 2")
     dim = len(ms)
     denom = lcm(*ms)
     tables = [_one_var_scaled(m, cap, denom, usual) for m in ms]
-    shape = tuple(len(t) for t in tables)
-    grid = np.indices(shape, dtype=np.int64).reshape(dim, -1).T
-    weight = np.zeros(grid.shape[0], dtype=np.int64)
-    min_inc = np.full(grid.shape[0], np.iinfo(np.int64).max, dtype=np.int64)
-    for j, table in enumerate(tables):
-        col = grid[:, j]
-        weight += table[col]
-        if len(table) > 1:
-            incs = np.diff(table)
-            has = col > 0
-            inc_here = np.where(has, incs[np.maximum(col, 1) - 1], np.iinfo(np.int64).max)
-            min_inc = np.minimum(min_inc, inc_here)
-    at_zero = (grid == 0).all(axis=1)
-    drop = np.where(at_zero, NO_DROP, weight - min_inc)
-    keep = weight * cap.denominator < cap.numerator * denom
-    keep |= at_zero
-    return _canonical(dim, denom, cap, grid[keep], weight[keep], drop[keep])
+    bound = _cut(cap, denom)
+    rest = sum(int(t[0]) for t in tables)
+    weight = np.zeros(1, dtype=np.int64)
+    drop = np.full(1, NO_DROP, dtype=np.int64)
+    links = []
+    for t in tables:
+        rest -= int(t[0])
+        counts = np.searchsorted(t, bound - rest - weight)
+        counts[0] = max(counts[0], 1)  # row 0 is the zero prefix
+        n = int(counts.sum())
+        _admit(8 * (dim + 2) * n, f"weight model of {ms} below {cap} has {n} atoms")
+        parent = np.repeat(np.arange(len(weight)), counts)
+        k = np.arange(n) - np.repeat(np.cumsum(counts) - counts, counts)
+        base = weight[parent]
+        down = np.where(k > 0, base + t[np.maximum(k - 1, 0)], NO_DROP)
+        drop = np.maximum(drop[parent] + t[k], down)
+        weight = base + t[k]
+        links.append((parent, k))
+    # read each final row's exponents back through its chain of parents
+    exps = np.empty((len(weight), dim), dtype=np.int64)
+    row = np.arange(len(weight))
+    for j in range(dim - 1, -1, -1):
+        parent, k = links[j]
+        exps[:, j] = k[row]
+        row = parent[row]
+    drop = np.where(drop < _SENTINEL_CUT, NO_DROP, drop)
+    return WeightModel(dim, denom, cap, exps, weight, drop)
 
 
 def rescaled(model: WeightModel, new_denom: int) -> WeightModel:
@@ -116,20 +161,20 @@ def convolve(a: WeightModel, b: WeightModel, cap: Fraction | None = None) -> Wei
     either factor.  The result is complete below min(cap, a.cap, b.cap).
     """
     cap_out = min(a.cap, b.cap) if cap is None else min(cap, a.cap, b.cap)
+    _admit(8 * len(a.weight) * len(b.weight),
+           f"pair matrix of {len(a.weight)} x {len(b.weight)} atoms")
     denom = lcm(a.denom, b.denom)
     a = rescaled(a, denom)
     b = rescaled(b, denom)
-    total = a.weight[:, None] + b.weight[None, :]
-    mask = total * cap_out.denominator < cap_out.numerator * denom
-    ia0 = int(np.nonzero((a.exps == 0).all(axis=1))[0][0])
-    ib0 = int(np.nonzero((b.exps == 0).all(axis=1))[0][0])
-    mask[ia0, ib0] = True
+    mask = a.weight[:, None] + b.weight[None, :] < _cut(cap_out, denom)
+    mask[0, 0] = True  # the zero exponent, first in lex order
+    # row-major pairs of two lex-sorted tables are already lex-sorted
     ia, ib = np.nonzero(mask)
     exps = np.hstack([a.exps[ia], b.exps[ib]])
     weight = a.weight[ia] + b.weight[ib]
     drop = np.maximum(a.drop[ia] + b.weight[ib], a.weight[ia] + b.drop[ib])
     drop = np.where(drop < _SENTINEL_CUT, NO_DROP, drop)
-    return _canonical(a.dim + b.dim, denom, cap_out, exps, weight, drop)
+    return WeightModel(a.dim + b.dim, denom, cap_out, exps, weight, drop)
 
 
 def _scaled_threshold(model: WeightModel, alpha: Fraction, strict: bool) -> int:

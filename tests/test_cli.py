@@ -190,6 +190,18 @@ def test_exit_code_domain_error(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv, size", [
+    (["irrationality", "x^200+y^205+z^209"], "37966752 atoms"),
+    (["ideal", "--alpha", "1/2", "x^25000+y^25000"], "74997 x 74997 atoms"),
+])
+def test_exit_code_oversized_input_refused(capsys, argv, size):
+    code, out, err = _run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ") and size in err
+    assert "Traceback" not in err and "GiB" in err
+
+
 def test_window_env_override(capsys, monkeypatch):
     monkeypatch.setenv("TSMULT_WINDOW", "3")
     code, out, _ = _run(capsys, ["jc", "z1^2 + z2^3"])

@@ -1,13 +1,16 @@
 import itertools
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
-from tsmult.errors import WindowExceeded
+from tsmult import weights
+from tsmult.errors import ResourceLimit, WindowExceeded
 from tsmult.monomial import MonomialIdeal
-from tsmult.weights import (achieved_levels, convolve, diagonal_model,
-                            generators_at, graded_exponents, models_equal,
-                            permuted_model, rescaled)
+from tsmult.oracles import box_model
+from tsmult.weights import (_canonical, _one_var_scaled, achieved_levels, convolve,
+                            diagonal_model, generators_at, graded_exponents,
+                            models_equal, permuted_model, rescaled)
 
 from bruteforce import (bf_diagonal_gens, bf_micro_weight, bf_usual_weight,
                         bf_weight_levels)
@@ -15,6 +18,41 @@ from bruteforce import (bf_diagonal_gens, bf_micro_weight, bf_usual_weight,
 
 def _gens(model, alpha, strict):
     return list(generators_at(model, alpha, strict=strict).gens)
+
+
+def _identical(a, b):
+    """Same atoms in the same row order, same numerators, same denominator and cap."""
+    return (a.dim == b.dim and a.denom == b.denom and a.cap == b.cap
+            and np.array_equal(a.exps, b.exps) and np.array_equal(a.weight, b.weight)
+            and np.array_equal(a.drop, b.drop))
+
+
+def test_one_var_tables_match_bruteforce():
+    for m in range(2, 61):
+        for cap in (F(1, 2 * m), F(1, m), F(1, 3), F(1), F(3, 2), F(3), F(7, 2)):
+            for usual, weight in ((False, bf_micro_weight), (True, bf_usual_weight)):
+                want = [0]
+                while weight(m, len(want)) < cap:
+                    want.append(len(want))
+                if weight(m, 0) >= cap:
+                    want = [0]  # z^0 is always kept
+                table = _one_var_scaled(m, cap, m, usual)
+                assert table.tolist() == [weight(m, k) * m for k in want], (m, cap, usual)
+
+
+_BOX_CAPS = (F(1, 3), F(1), F(3, 2), F(2), F(3), F(4))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_diagonal_model_equals_box_model(d):
+    # every ordered tuple up to three variables; sorted tuples for four
+    shapes = (itertools.product(range(2, 8), repeat=d) if d < 4
+              else itertools.combinations_with_replacement(range(2, 8), d))
+    for ms in shapes:
+        for cap in _BOX_CAPS:
+            for usual in (False, True):
+                assert _identical(diagonal_model(ms, cap, usual),
+                                  box_model(ms, cap, usual)), (ms, cap, usual)
 
 
 def test_one_var_atom_weights_match_recursion():
@@ -80,7 +118,7 @@ def test_convolve_equals_direct_pairs():
         a = diagonal_model((m1,), cap=F(4))
         b = diagonal_model((m2,), cap=F(4))
         joined = convolve(a, b)
-        direct = diagonal_model((m1, m2), cap=F(4))
+        direct = box_model((m1, m2), cap=F(4))
         assert models_equal(joined, direct), (m1, m2)
 
 
@@ -88,9 +126,33 @@ def test_convolve_triple_associative():
     parts = [diagonal_model((m,), cap=F(3)) for m in (2, 3, 4)]
     left = convolve(convolve(parts[0], parts[1]), parts[2])
     right = convolve(parts[0], convolve(parts[1], parts[2]))
-    direct = diagonal_model((2, 3, 4), cap=F(3))
+    direct = box_model((2, 3, 4), cap=F(3))
     assert models_equal(left, direct)
     assert models_equal(right, direct)
+
+
+def test_convolve_output_is_lex_sorted():
+    factors = [box_model(ms, cap=F(3)) for ms in [(2,), (5,), (3, 2), (4, 3), (2, 2, 3)]]
+    for a, b in itertools.product(factors, repeat=2):
+        for cap in (None, F(2), F(5, 2)):
+            out = convolve(a, b, cap)
+            resorted = _canonical(out.dim, out.denom, out.cap, out.exps, out.weight, out.drop)
+            assert _identical(out, resorted)
+
+
+def test_table_byte_limit_refuses_before_building(monkeypatch):
+    small = diagonal_model((5, 5), cap=F(2))
+    monkeypatch.setattr(weights, "MAX_TABLE_BYTES", 8 * 4 * len(small.weight))
+    assert _identical(diagonal_model((5, 5), cap=F(2)), small)
+    bigger = box_model((5, 5), cap=F(11, 5))
+    with pytest.raises(ResourceLimit, match=rf"has {len(bigger.weight)} atoms: "):
+        diagonal_model((5, 5), cap=F(11, 5))
+    quintic = diagonal_model((5,), cap=F(4))
+    n = len(quintic.weight)
+    with pytest.raises(ResourceLimit, match=rf"pair matrix of {n} x {n} atoms: {8 * n * n} bytes"):
+        convolve(quintic, quintic)
+    with pytest.raises(ResourceLimit, match=r"weight table of z\^1000 "):
+        diagonal_model((1000,), cap=F(4))
 
 
 def test_convolve_cap_shrinks_to_smallest():
