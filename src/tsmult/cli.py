@@ -24,7 +24,7 @@ from .errors import GermParseError, OracleMismatch, TsmultError
 from .filtration import graded_at, jumpset_of, periodic_extend, usual_jumpset
 from .germs import (Germ, diagonal_microlocal_chain, diagonal_usual_chain,
                     lct, one_var_microlocal_chain)
-from .monomial import MonomialIdeal, ScaledIdeal
+from .monomial import MonomialIdeal, QuotientBasis, ScaledIdeal
 from .oracles import (MonteCarloConfig, mc_case_set, monte_carlo_integrable,
                       summation_path)
 from .spectral import consistency_check, one_var_eigentable, phi_convolve, spectrum_of
@@ -233,6 +233,14 @@ def _gens_text(ideal: MonomialIdeal) -> str:
     return json.dumps([list(g) for g in ordered], separators=(",", ":"))
 
 
+def _emit_basis(args: argparse.Namespace, basis: QuotientBasis, **head: str) -> None:
+    exps = [list(e) for e in sorted(basis.exponents, reverse=True)]
+    lines = [f"dim {basis.dim}"]
+    if exps:
+        lines.append(f"exps {json.dumps(exps, separators=(',', ':'))}")
+    _emit(args, {**head, "dim": basis.dim, "exponents": exps}, lines)
+
+
 def cmd_lct(args: argparse.Namespace) -> int:
     germ = to_germ(parse(args.germ))
     value = lct(germ)
@@ -277,14 +285,7 @@ def cmd_graded(args: argparse.Namespace) -> int:
     cfg = _config(args)
     germ = to_germ(parse(args.germ))
     chain = diagonal_microlocal_chain(germ, window=cfg.window)
-    basis = graded_at(chain, args.alpha)
-    exps = sorted(basis.exponents, reverse=True)
-    payload = {"alpha": str(args.alpha), "dim": basis.dim,
-               "exponents": [list(e) for e in exps]}
-    lines = [f"dim {basis.dim}"]
-    if exps:
-        lines.append(f"exps {json.dumps([list(e) for e in exps], separators=(',', ':'))}")
-    _emit(args, payload, lines)
+    _emit_basis(args, graded_at(chain, args.alpha), alpha=str(args.alpha))
     return 0
 
 
@@ -305,13 +306,7 @@ def cmd_eigen(args: argparse.Namespace) -> int:
 
 def cmd_irrationality(args: argparse.Namespace) -> int:
     germ = to_germ(parse(args.germ))
-    basis = irrationality_module(germ)
-    exps = sorted(basis.exponents, reverse=True)
-    payload = {"dim": basis.dim, "exponents": [list(e) for e in exps]}
-    lines = [f"dim {basis.dim}"]
-    if exps:
-        lines.append(f"exps {json.dumps([list(e) for e in exps], separators=(',', ':'))}")
-    _emit(args, payload, lines)
+    _emit_basis(args, irrationality_module(germ))
     return 0
 
 

@@ -16,8 +16,7 @@ from . import weights
 from .errors import ChainKindError, NotReduced, WindowExceeded
 from .filtration import MICROLOCAL, JumpChain, JumpSet, chain_from_model
 from .germs import Germ, diagonal_microlocal_chain
-from .monomial import (MonomialIdeal, QuotientBasis, Rat, colength,
-                       quotient_basis)
+from .monomial import MonomialIdeal, QuotientBasis, Rat
 
 
 def ts_convolve_chains(c1: JumpChain, c2: JumpChain,
@@ -108,9 +107,7 @@ def ts_graded(c1: JumpChain, c2: JumpChain, alpha: Fraction) -> list[GradedSumma
         e1 = weights.graded_exponents(c1.model, lv)
         e2 = weights.graded_exponents(c2.model, alpha - lv)
         if e1 and e2:
-            out.append(GradedSummand(lv, alpha - lv,
-                                     QuotientBasis(finite=True, exponents=e1),
-                                     QuotientBasis(finite=True, exponents=e2)))
+            out.append(GradedSummand(lv, alpha - lv, QuotientBasis(e1), QuotientBasis(e2)))
     return out
 
 
@@ -124,8 +121,7 @@ def irrationality_module(germ: Germ) -> QuotientBasis:
     if germ.dim < 2:
         raise NotReduced("the irrationality module needs a reduced germ (at least 2 variables)")
     model = weights.diagonal_model(germ.exponents, cap=Fraction(3), usual=False)
-    j_one = weights.generators_at(model, Fraction(1), strict=True)
-    return quotient_basis(MonomialIdeal.unit(germ.dim), j_one)
+    return QuotientBasis(weights.quotient_exponents(model, Fraction(1), strict=True))
 
 
 def irrationality_dim(germ: Germ) -> int:
@@ -174,10 +170,7 @@ def alpha_one_sequence_check(g1: Germ, g2: Germ) -> AlphaOneReport:
     direct = len(weights.graded_exponents(conv.model, one))
     summands = tuple(ts_graded(c1, c2, one))
     paired = sum(s.dim for s in summands)
-    sum_exponents = g1.exponents + g2.exponents
-    irr_model = weights.diagonal_model(sum_exponents, cap=Fraction(3), usual=False)
-    unit = MonomialIdeal.unit(len(sum_exponents))
-    irr = colength(unit, weights.generators_at(irr_model, one, strict=True))
-    vcoker = colength(unit, weights.generators_at(conv.model, one, strict=False))
+    irr = irrationality_dim(Germ(g1.exponents + g2.exponents))
+    vcoker = len(weights.quotient_exponents(conv.model, one, strict=False))
     consistent = (direct == paired) and (irr == vcoker + direct)
     return AlphaOneReport(direct, paired, irr, vcoker, summands, consistent)

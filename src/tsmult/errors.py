@@ -19,20 +19,12 @@ class WindowExceeded(TsmultError):
     """A query point lies outside the window a chain was computed on."""
 
 
-class InclusionError(TsmultError):
-    """A quotient I/J was requested with J not contained in I."""
-
-
-class InfiniteQuotient(TsmultError):
-    """A finite basis was requested for an infinite-dimensional quotient."""
-
-
 class GermUnsupported(TsmultError):
     """The germ is outside the diagonal family this package handles."""
 
 
 class NotReduced(TsmultError):
-    """An operation requires a germ with all exponents at least 2."""
+    """An operation requires a reduced germ: for sums of powers, at least 2 variables."""
 
 
 class ChainKindError(TsmultError):

@@ -162,7 +162,7 @@ def graded_at(chain: JumpChain, alpha: Fraction) -> QuotientBasis:
     if chain.mode != "V":
         raise ChainKindError("graded_at expects a V-mode chain")
     alpha = chain._check_window(alpha)
-    return QuotientBasis(finite=True, exponents=weights.graded_exponents(chain.model, alpha))
+    return QuotientBasis(weights.graded_exponents(chain.model, alpha))
 
 
 def jumpset_of(chain: JumpChain) -> JumpSet:

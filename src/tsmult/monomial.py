@@ -14,7 +14,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatch, InclusionError, InfiniteQuotient
+from .errors import DimensionMismatch
 
 Rat = Fraction
 Exponent = tuple[int, ...]
@@ -173,75 +173,15 @@ def external_product(left: MonomialIdeal, right: MonomialIdeal) -> MonomialIdeal
     return MonomialIdeal(dim, sorted(gens), _trusted=True)
 
 
-def _saturation_gens(ideal: MonomialIdeal, axis: int) -> tuple[Exponent, ...]:
-    """Generators of the saturation with respect to variable `axis`."""
-    dropped = [g[:axis] + (0,) + g[axis + 1 :] for g in ideal.gens]
-    return minimal_antichain(dropped)
-
-
 @dataclass(frozen=True)
 class QuotientBasis:
-    """Monomial basis of big/small, or an infiniteness witness.
+    """Lex-sorted monomial basis of a finite-dimensional quotient."""
 
-    witness_axis is a 0-based variable index along which infinitely many
-    basis monomials escape; it is None exactly when the quotient is finite.
-    """
-
-    finite: bool
     exponents: tuple[Exponent, ...]
-    witness_axis: int | None = None
 
     @property
     def dim(self) -> int:
-        if not self.finite:
-            raise InfiniteQuotient(f"quotient is infinite along variable {self.witness_axis}")
         return len(self.exponents)
-
-
-def quotient_basis(big: MonomialIdeal, small: MonomialIdeal) -> QuotientBasis:
-    """Monomials of big not in small, with exact finiteness detection.
-
-    Requires small to be contained in big.  The quotient is finite exactly
-    when the two ideals have equal saturation with respect to every
-    variable; in that case all basis exponents lie below the componentwise
-    maximum of the generators and a box enumeration finds them all.
-    """
-    if big.dim != small.dim:
-        raise DimensionMismatch("ideals live in different variable counts")
-    if not small.contained_in(big):
-        raise InclusionError("small ideal is not contained in big ideal")
-    dim = big.dim
-    for axis in range(dim):
-        if _saturation_gens(big, axis) != _saturation_gens(small, axis):
-            return QuotientBasis(finite=False, exponents=(), witness_axis=axis)
-    if small.is_zero:
-        # equal saturations with small = 0 force big = 0
-        return QuotientBasis(finite=True, exponents=())
-    bounds = [0] * dim
-    for g in big.gens + small.gens:
-        for j, v in enumerate(g):
-            bounds[j] = max(bounds[j], v)
-    if any(b == 0 for b in bounds):
-        # the box is empty, hence so is the quotient
-        return QuotientBasis(finite=True, exponents=())
-    grid = np.indices(bounds, dtype=np.int64).reshape(dim, -1).T
-    in_big = _membership_mask(grid, big)
-    in_small = _membership_mask(grid, small)
-    rows = grid[in_big & ~in_small]
-    exps = tuple(sorted(tuple(int(v) for v in row) for row in rows))
-    return QuotientBasis(finite=True, exponents=exps)
-
-
-def _membership_mask(points: np.ndarray, ideal: MonomialIdeal) -> np.ndarray:
-    if ideal.is_zero:
-        return np.zeros(points.shape[0], dtype=bool)
-    gens = np.array(ideal.gens, dtype=np.int64)
-    return (gens[None, :, :] <= points[:, None, :]).all(axis=2).any(axis=1)
-
-
-def colength(big: MonomialIdeal, small: MonomialIdeal) -> int:
-    """Vector-space dimension of big/small; raises if infinite."""
-    return quotient_basis(big, small).dim
 
 
 @dataclass(frozen=True)

@@ -262,6 +262,19 @@ def graded_exponents(model: WeightModel, alpha: Fraction) -> tuple[tuple[int, ..
     return tuple(map(tuple, model.exps[model.weight == t].tolist()))
 
 
+def quotient_exponents(model: WeightModel, alpha: Fraction,
+                       strict: bool) -> tuple[tuple[int, ...], ...]:
+    """Lex-sorted exponents outside {w >= alpha} (or {w > alpha} when strict).
+
+    They are a basis of O / V^alpha (or O / V^{>alpha}); the model holds
+    every exponent of weight below the cap, so all of them are atoms.
+    """
+    if alpha >= model.cap:
+        raise WindowExceeded(f"level {alpha} is not below the model cap {model.cap}")
+    t = _scaled_threshold(model, alpha, strict)
+    return tuple(map(tuple, model.exps[model.weight < t].tolist()))
+
+
 def achieved_levels(model: WeightModel, hi: Fraction) -> tuple[Fraction, ...]:
     """Distinct weight values in (0, hi), sorted increasingly."""
     return tuple(Fraction(v, model.denom) for v in _levels_below(model, hi).tolist())

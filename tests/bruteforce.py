@@ -112,6 +112,16 @@ def bf_pair_sum_v(ms1: Sequence[int], ms2: Sequence[int],
     return bf_minimal(members)
 
 
+def bf_irrationality_basis(ms: Sequence[int]) -> list[tuple[int, ...]]:
+    """Exponents of microlocal weight sum <= 1, lex-sorted, by box scan.
+
+    A coordinate nu_j >= m_j - 1 alone has weight above 1, so the box
+    prod range(m_j) holds every such exponent.
+    """
+    return [nu for nu in itertools.product(*(range(m) for m in ms))
+            if sum(bf_micro_weight(m, k) for m, k in zip(ms, nu)) <= 1]
+
+
 def bf_spectrum(ms: Sequence[int]) -> dict[Fraction, int]:
     out: dict[Fraction, int] = {}
     for combo in itertools.product(*(range(1, m) for m in ms)):

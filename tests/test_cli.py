@@ -1,10 +1,16 @@
 import json
+import os
+import resource
+import subprocess
+import sys
 from fractions import Fraction as F
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import pytest
 
+import tsmult
 from tsmult.cli import (Config, TSSum, Var, format_expr, main, parse, to_germ)
 from tsmult.errors import GermParseError, TsmultError
 
@@ -200,6 +206,22 @@ def test_exit_code_oversized_input_refused(capsys, argv, size):
     assert out == ""
     assert err.count("\n") == 1 and err.startswith("error: ") and size in err
     assert "Traceback" not in err and "GiB" in err
+
+
+def test_irrationality_reads_large_basis_off_the_model():
+    # C(80, 3) exponents with sum (nu_j + 1) <= 80; enumerating a box of
+    # candidate monomials would need several GiB, so run under a 1 GiB cap
+    limit = 1 << 30
+    src = str(Path(tsmult.__file__).resolve().parents[1])
+    old = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src if not old else f"{src}{os.pathsep}{old}")
+    proc = subprocess.run(
+        [sys.executable, "-m", "tsmult", "irrationality", "x^80+y^80+z^80"],
+        capture_output=True, text=True, env=env, timeout=120,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[0] == "dim 82160"
+    assert "Traceback" not in proc.stderr
 
 
 def test_window_env_override(capsys, monkeypatch):

@@ -12,7 +12,8 @@ from tsmult.germs import (Germ, diagonal_microlocal_chain, diagonal_usual_chain,
                           lct, one_var_microlocal_chain)
 from tsmult.weights import achieved_levels, generators_at
 
-from bruteforce import bf_diagonal_gens, bf_pair_sum_v
+from bruteforce import (bf_diagonal_gens, bf_irrationality_basis, bf_micro_weight,
+                        bf_pair_sum_v)
 
 
 def test_convolve_pairs_match_direct():
@@ -158,6 +159,29 @@ def test_irrationality_goldens():
     assert set(basis.exponents) == {(0, 0), (0, 1), (1, 0)}
     with pytest.raises(NotReduced):
         irrationality_module(Germ((5,)))
+
+
+@pytest.mark.parametrize("d,top", [(2, 10), (3, 10), (4, 6)])
+def test_irrationality_module_matches_bruteforce(d, top):
+    for ms in itertools.product(range(2, top), repeat=d):
+        basis = irrationality_module(Germ(ms))
+        assert list(basis.exponents) == bf_irrationality_basis(ms), ms
+
+
+def test_alpha_one_colengths_match_bruteforce():
+    # the splits of acceptance criterion 6
+    for d1, d2 in [(1, 1), (1, 2), (2, 1)]:
+        for ms1 in itertools.product(range(2, 6), repeat=d1):
+            g1 = Germ(ms1, var_names=tuple(f"x{i}" for i in range(d1)))
+            for ms2 in itertools.product(range(2, 6), repeat=d2):
+                g2 = Germ(ms2, var_names=tuple(f"y{i}" for i in range(d2)))
+                report = alpha_one_sequence_check(g1, g2)
+                ms = ms1 + ms2
+                basis = bf_irrationality_basis(ms)
+                below = [nu for nu in basis
+                         if sum(bf_micro_weight(m, k) for m, k in zip(ms, nu)) < 1]
+                assert report.irrationality_dim == len(basis), ms
+                assert report.v_one_cokernel_dim == len(below), ms
 
 
 def test_alpha_one_sequence_golden():

@@ -1,12 +1,9 @@
-from fractions import Fraction
-
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
-from tsmult.errors import DimensionMismatch, InclusionError, InfiniteQuotient
-from tsmult.monomial import (MonomialIdeal, colength, external_product, ideal_sum,
-                             minimal_antichain, quotient_basis)
+from tsmult.errors import DimensionMismatch
+from tsmult.monomial import MonomialIdeal, external_product, ideal_sum, minimal_antichain
 
 from bruteforce import bf_member, bf_minimal
 
@@ -73,62 +70,6 @@ def test_external_product():
     assert external_product(a, MonomialIdeal.zero(2)).is_zero
     lifted = external_product(MonomialIdeal.unit(1), b)
     assert set(lifted.gens) == {(0, 0, 1), (0, 3, 0)}
-
-
-def test_quotient_basis_golden_finite():
-    big = MonomialIdeal(2, [(1, 0), (0, 1)])
-    small = MonomialIdeal(2, [(1, 0), (0, 2)])
-    q = quotient_basis(big, small)
-    assert q.finite
-    assert q.exponents == ((0, 1),)
-    assert q.dim == 1
-    assert colength(big, small) == 1
-
-
-def test_quotient_basis_infinite_with_witness():
-    big = MonomialIdeal(2, [(1, 0)])
-    small = MonomialIdeal(2, [(1, 1)])
-    q = quotient_basis(big, small)
-    assert not q.finite
-    assert q.witness_axis == 0
-    with pytest.raises(InfiniteQuotient):
-        q.dim
-
-
-def test_quotient_requires_inclusion():
-    big = MonomialIdeal(2, [(2, 0)])
-    small = MonomialIdeal(2, [(0, 2)])
-    with pytest.raises(InclusionError):
-        quotient_basis(big, small)
-
-
-def test_colength_of_unit_by_powers():
-    unit = MonomialIdeal.unit(2)
-    small = MonomialIdeal(2, [(2, 0), (0, 3)])
-    q = quotient_basis(unit, small)
-    assert q.finite and q.dim == 6
-    assert set(q.exponents) == {(i, j) for i in range(2) for j in range(3)}
-
-
-@given(points_2d, st.integers(0, 3), st.integers(0, 3))
-@settings(max_examples=40)
-def test_quotient_counts_match_bruteforce(pts, a, b):
-    big = MonomialIdeal.unit(2)
-    small = MonomialIdeal(2, [(p[0] + a, p[1] + b) for p in pts])
-    q = quotient_basis(big, small)
-    if small.is_zero:
-        assert not q.finite
-        return
-    if q.finite:
-        count = sum(1 for i in range(12) for j in range(12)
-                    if not small.contains((i, j)))
-        assert q.dim == count
-    else:
-        axis = q.witness_axis
-        # the coordinate line along the witness axis never enters small
-        probe = [0, 0]
-        probe[axis] = 11
-        assert not small.contains(tuple(probe))
 
 
 def test_permuted():
