@@ -469,7 +469,14 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed reader shows up here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # the reader stopped early (`| head`): send the unflushed rest to
+        # devnull so the exit-time flush cannot fail again, and exit quietly
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (TsmultError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -124,16 +124,6 @@ class MonomialIdeal:
             raise DimensionMismatch("ideals live in different variable counts")
         return all(other.contains(g) for g in self.gens)
 
-    def permuted(self, perm: Sequence[int]) -> "MonomialIdeal":
-        """Relabel variables: new coordinate i is old coordinate perm[i]."""
-        if sorted(perm) != list(range(self.dim)):
-            raise ValueError(f"{perm} is not a permutation of 0..{self.dim - 1}")
-        return MonomialIdeal(
-            self.dim,
-            [tuple(g[p] for p in perm) for g in self.gens],
-            _trusted=False,
-        )
-
     def to_json(self) -> dict:
         return {"dim": self.dim, "gens": [list(g) for g in self.gens]}
 

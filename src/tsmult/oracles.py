@@ -1,8 +1,9 @@
 """Independent verification routes for the symbolic engine.
 
-Four exact oracles (one-variable integrability, rational-LP membership
-in scaled Newton polyhedra, a two-path summation-formula evaluation, and
-the weight model by enumeration of the whole exponent box) plus one
+Five exact oracles (one-variable integrability, rational-LP membership
+in scaled Newton polyhedra, a two-path summation-formula evaluation, the
+weight model by enumeration of the whole exponent box, and the spectrum
+by enumeration of every interior tuple) plus one
 statistical oracle (Monte Carlo estimation of the defining
 integral over dyadic shells).  The statistical oracle is advisory: it
 never gates a symbolic result, only its own agreement test.
@@ -11,8 +12,10 @@ never gates a symbolic result, only its own agreement test.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -21,7 +24,7 @@ from .errors import OracleMismatch
 from .germs import Germ, diagonal_microlocal_chain, one_var_weight, one_var_usual_chain
 from .filtration import j_lookup, jumpset_of, usual_jumpset
 from .monomial import MonomialIdeal, Rat, external_product, ideal_sum
-from .weights import NO_DROP, WeightModel, _canonical, _one_var_scaled
+from .weights import NO_DROP, WeightModel, _one_var_scaled
 
 
 def one_var_integrable(g: int, m: int, alpha: Rat) -> bool:
@@ -78,6 +81,13 @@ def fm_feasible(constraints: Sequence[Constraint], nvars: int) -> bool:
     return True
 
 
+def _canonical(dim: int, denom: int, cap: Fraction, exps: np.ndarray,
+               weight: np.ndarray, drop: np.ndarray) -> WeightModel:
+    order = np.lexsort(np.flipud(exps.T))
+    return WeightModel(dim, denom, cap, np.ascontiguousarray(exps[order]),
+                       weight[order], drop[order])
+
+
 def box_model(ms: Sequence[int], cap: Fraction, usual: bool = False) -> WeightModel:
     """weights.diagonal_model by enumerating the whole box ∏ len(table_j).
 
@@ -107,6 +117,19 @@ def box_model(ms: Sequence[int], cap: Fraction, usual: bool = False) -> WeightMo
     keep = weight * cap.denominator < cap.numerator * denom
     keep |= at_zero
     return _canonical(dim, denom, cap, grid[keep], weight[keep], drop[keep])
+
+
+def enumerated_spectrum(ms: Sequence[int]) -> dict[Fraction, int]:
+    """Hodge spectrum of the diagonal germ with exponents ms, tuple by tuple.
+
+    Sums i_1/m_1 + ... + i_d/m_d, as integer numerators over lcm(ms), over
+    every interior tuple 1 <= i_j < m_j.  O(μ) time; kept as the
+    independent route spectral.spectrum_of is checked against, never on
+    the hot path.  A plain dict, so this module needs nothing of spectral.
+    """
+    denom = math.lcm(*ms)
+    steps = [range(denom // m, denom, denom // m) for m in ms]
+    return {Fraction(k, denom): c for k, c in Counter(map(sum, product(*steps))).items()}
 
 
 def newton_membership(a: MonomialIdeal, nu: Sequence[int], alpha: Rat) -> bool:

@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatch, ResourceLimit, WindowExceeded
+from .errors import ResourceLimit, WindowExceeded
 from .monomial import MonomialIdeal
 
 # drop value of the zero exponent, which has no decrements; kept far below
@@ -50,13 +50,6 @@ class WeightModel:
     exps: np.ndarray
     weight: np.ndarray
     drop: np.ndarray
-
-
-def _canonical(dim: int, denom: int, cap: Fraction, exps: np.ndarray,
-               weight: np.ndarray, drop: np.ndarray) -> WeightModel:
-    order = np.lexsort(np.flipud(exps.T))
-    return WeightModel(dim, denom, cap, np.ascontiguousarray(exps[order]),
-                       weight[order], drop[order])
 
 
 def _admit(nbytes: int, what: str) -> None:
@@ -299,12 +292,3 @@ def models_equal(a: WeightModel, b: WeightModel) -> bool:
             and np.array_equal(a.exps, b.exps)
             and np.array_equal(a.weight, b.weight)
             and np.array_equal(a.drop, b.drop))
-
-
-def permuted_model(model: WeightModel, perm: Sequence[int]) -> WeightModel:
-    """Relabel variables: new coordinate i is old coordinate perm[i]."""
-    if sorted(perm) != list(range(model.dim)):
-        raise DimensionMismatch(f"{perm} is not a permutation of 0..{model.dim - 1}")
-    exps = model.exps[:, list(perm)]
-    return _canonical(model.dim, model.denom, model.cap, exps,
-                      model.weight.copy(), model.drop.copy())

@@ -9,6 +9,7 @@ instead of vectorized tables.
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 from math import lcm
 from typing import Iterable, Sequence
@@ -128,3 +129,23 @@ def bf_spectrum(ms: Sequence[int]) -> dict[Fraction, int]:
         s = sum(Fraction(i, m) for i, m in zip(combo, ms))
         out[s] = out.get(s, 0) + 1
     return out
+
+
+def bf_fold(spectrum: dict[Fraction, int]) -> dict[Fraction, int]:
+    """Eigentable of a spectrum: each value s moves to -(s - floor(s)) in (-1, 0]."""
+    out: dict[Fraction, int] = {}
+    for s, mult in spectrum.items():
+        key = -(s - math.floor(s))
+        out[key] = out.get(key, 0) + mult
+    return out
+
+
+def bf_permuted(gens: Iterable[Sequence[int]], perm: Sequence[int]) -> list[tuple[int, ...]]:
+    """Relabel variables: new coordinate i is old coordinate perm[i]."""
+    return [tuple(g[p] for p in perm) for g in gens]
+
+
+def bf_permuted_atoms(model, perm: Sequence[int]) -> list[tuple]:
+    """A weight model's atoms as sorted (exponent, weight, drop) rows, variables relabelled."""
+    exps = bf_permuted(model.exps.tolist(), perm)
+    return sorted(zip(exps, model.weight.tolist(), model.drop.tolist()))

@@ -199,6 +199,10 @@ def test_exit_code_domain_error(capsys):
 @pytest.mark.parametrize("argv, size", [
     (["irrationality", "x^200+y^205+z^209"], "37966752 atoms"),
     (["ideal", "--alpha", "1/2", "x^25000+y^25000"], "74997 x 74997 atoms"),
+    (["spectrum", "x^40000+y^40001"], "39999 x 40000 = 1599960000 term pairs"),
+    (["eigen", "x^40000+y^40001"], "39999 x 40000 = 1599960000 term pairs"),
+    (["spectrum", "x^6000000"], "5999999 distinct values"),
+    (["eigen", "x^6000000"], "5999999 distinct values"),
 ])
 def test_exit_code_oversized_input_refused(capsys, argv, size):
     code, out, err = _run(capsys, argv)
@@ -208,20 +212,38 @@ def test_exit_code_oversized_input_refused(capsys, argv, size):
     assert "Traceback" not in err and "GiB" in err
 
 
+def _child_env():
+    src = str(Path(tsmult.__file__).resolve().parents[1])
+    old = os.environ.get("PYTHONPATH")
+    return dict(os.environ, PYTHONPATH=src if not old else f"{src}{os.pathsep}{old}")
+
+
 def test_irrationality_reads_large_basis_off_the_model():
     # C(80, 3) exponents with sum (nu_j + 1) <= 80; enumerating a box of
     # candidate monomials would need several GiB, so run under a 1 GiB cap
     limit = 1 << 30
-    src = str(Path(tsmult.__file__).resolve().parents[1])
-    old = os.environ.get("PYTHONPATH")
-    env = dict(os.environ, PYTHONPATH=src if not old else f"{src}{os.pathsep}{old}")
     proc = subprocess.run(
         [sys.executable, "-m", "tsmult", "irrationality", "x^80+y^80+z^80"],
-        capture_output=True, text=True, env=env, timeout=120,
+        capture_output=True, text=True, env=_child_env(), timeout=120,
         preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[0] == "dim 82160"
     assert "Traceback" not in proc.stderr
+
+
+def test_closed_stdout_exits_quietly():
+    # about 1 MB of spectrum lines overflows the pipe buffer, so the child
+    # is still writing when the reader closes its end after one line
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "tsmult", "spectrum", "x^40+y^41+z^42"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_child_env())
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 1
+    assert first == b"2521/34440 1\n"
+    assert "Traceback" not in err and "BrokenPipeError" not in err, err
 
 
 def test_window_env_override(capsys, monkeypatch):

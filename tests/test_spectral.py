@@ -3,14 +3,18 @@ import itertools
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from tsmult import spectral
+from tsmult.errors import ResourceLimit
 from tsmult.germs import Germ, milnor_number, ts_sum
 from tsmult.spectral import (EigenTable, Spectrum, consistency_check,
                              fold_spectrum, one_var_eigentable, phi_convolve,
                              spectrum_convolve, spectrum_of)
 from tsmult.weights import diagonal_model, graded_exponents
 
-from bruteforce import bf_spectrum
+from bruteforce import bf_fold, bf_spectrum
 
 
 def test_one_var_eigentable():
@@ -103,6 +107,7 @@ def test_consistency_check_family():
 def test_consistency_report_shape():
     report = consistency_check(Germ((2, 3)))
     doc = report.to_json()
+    assert doc["enumeration_match"] and report.enumeration_match
     assert doc["tables_match"] and doc["total_ok"] and doc["symmetric"]
     assert doc["milnor"] == 2
     assert doc["min_value"] == "5/6" and doc["alpha_tilde"] == "5/6"
@@ -119,3 +124,49 @@ def test_spectrum_equals_first_block_graded_dims():
             block = [e for e in graded_exponents(model, value)
                      if all(k <= m - 2 for k, m in zip(e, ms))]
             assert len(block) == mult, (ms, value)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(2, 9), min_size=1, max_size=4))
+def test_engine_matches_bruteforce(ms):
+    spectrum = spectrum_of(Germ(tuple(ms)))
+    brute = bf_spectrum(ms)
+    assert spectrum.as_dict() == brute
+    assert [v for v, _ in spectrum.entries] == sorted(brute)
+    folded = bf_fold(brute)
+    assert fold_spectrum(spectrum).as_dict() == folded
+    table = functools.reduce(phi_convolve, [one_var_eigentable(m) for m in ms])
+    assert table.as_dict() == folded
+    assert [a for a, _ in table.entries] == sorted(folded)
+
+
+def test_spectrum_convolve_associative():
+    parts = [spectrum_of(Germ(ms)) for ms in [(2, 5), (3,), (4, 7)]]
+    left = spectrum_convolve(spectrum_convolve(parts[0], parts[1]), parts[2])
+    right = spectrum_convolve(parts[0], spectrum_convolve(parts[1], parts[2]))
+    assert left == right == spectrum_of(Germ((2, 5, 3, 4, 7)))
+
+
+def test_thousand_power_germs():
+    spectrum = spectrum_of(Germ((1000,) * 3))
+    assert spectrum.total == 999 ** 3
+    assert len(spectrum.entries) == 2995
+    table = functools.reduce(phi_convolve, [one_var_eigentable(1000)] * 4)
+    assert table.total == 999 ** 4
+
+
+def test_int64_overflow_refused():
+    # mu = 2^64 interior tuples: counts would wrap in int64
+    with pytest.raises(ResourceLimit, match="64-bit"):
+        spectrum_of(Germ((3,) * 64))
+    # keys up to 2 * 2^62 over one common denominator
+    big = EigenTable(((F(-1, 1 << 62), 1),))
+    with pytest.raises(ResourceLimit, match="64-bit"):
+        phi_convolve(big, big)
+
+
+def test_enumeration_mismatch_fails_the_check(monkeypatch):
+    monkeypatch.setattr(spectral, "enumerated_spectrum", lambda ms: {F(1, 2): 1})
+    report = consistency_check(Germ((2, 3)))
+    assert not report.enumeration_match and not report.ok
+    assert report.tables_match and report.total_ok
