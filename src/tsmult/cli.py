@@ -10,7 +10,6 @@ inside one variable's ring.
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import os
 import string
@@ -19,15 +18,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, NamedTuple, Sequence, Union
 
-from .convolution import irrationality_module, ts_convolve_chains, ts_multiplier
+from .convolution import irrationality_module, ts_convolve_chains
 from .errors import GermParseError, OracleMismatch, TsmultError
 from .filtration import graded_at, jumpset_of, periodic_extend, usual_jumpset
 from .germs import (Germ, diagonal_microlocal_chain, diagonal_usual_chain,
                     lct, one_var_microlocal_chain)
-from .monomial import MonomialIdeal, QuotientBasis, ScaledIdeal
+from .monomial import MonomialIdeal, QuotientBasis
 from .oracles import (MonteCarloConfig, mc_case_set, monte_carlo_integrable,
                       summation_path)
-from .spectral import consistency_check, one_var_eigentable, phi_convolve, spectrum_of
+from .spectral import _eigentable_of, consistency_check, spectrum_of
 
 _IDENT_START = frozenset(string.ascii_letters + "_")
 _IDENT_CONT = _IDENT_START | frozenset(string.digits)
@@ -257,21 +256,9 @@ def cmd_jc(args: argparse.Namespace) -> int:
     return 0
 
 
-def _multiplier_ideal(germ: Germ, alpha: Fraction) -> ScaledIdeal:
-    if alpha < 0:
-        raise TsmultError("alpha must be nonnegative")
-    if 0 < alpha < 1 and germ.dim >= 2:
-        head = Germ(germ.exponents[:1], germ.var_names[:1], germ.coefficients[:1])
-        tail = Germ(germ.exponents[1:], germ.var_names[1:], germ.coefficients[1:])
-        chain1 = diagonal_microlocal_chain(head, window=Fraction(1))
-        chain2 = diagonal_microlocal_chain(tail, window=Fraction(1))
-        return ScaledIdeal(0, ts_multiplier(chain1, chain2, alpha))
-    return periodic_extend(diagonal_usual_chain(germ), alpha)
-
-
 def cmd_ideal(args: argparse.Namespace) -> int:
     germ = to_germ(parse(args.germ))
-    scaled = _multiplier_ideal(germ, args.alpha)
+    scaled = periodic_extend(diagonal_usual_chain(germ), args.alpha)
     text = _gens_text(scaled.ideal)
     if scaled.power:
         lines = [f"power {scaled.power} gens {text}"]
@@ -298,8 +285,7 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
 
 def cmd_eigen(args: argparse.Namespace) -> int:
     germ = to_germ(parse(args.germ))
-    tables = [one_var_eigentable(m) for m in germ.exponents]
-    table = functools.reduce(phi_convolve, tables)
+    table = _eigentable_of(germ.exponents)
     _emit(args, table.to_json(), [f"{a} {m}" for a, m in table.entries])
     return 0
 

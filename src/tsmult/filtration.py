@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import ceil
 
 from . import weights
 from .errors import ChainKindError, WindowExceeded
@@ -179,12 +180,11 @@ def usual_jumpset(microlocal: JumpSet, window: Fraction) -> JumpSet:
     if microlocal.window < 1:
         raise WindowExceeded("need the microlocal jump set at least on (0, 1)")
     base = sorted({v for v in microlocal.values if v < 1} | {Fraction(1)})
-    values = []
-    shift = 0
-    while base[0] + shift < window:
-        values.extend(v + shift for v in base if v + shift < window)
-        shift += 1
-    return JumpSet(values=tuple(sorted(values)), window=window, periodic_tail=True)
+    # v + shift < window for the shifts below ceil(window - v); a Fraction is ~200 bytes
+    n = sum(ceil(window - v) for v in base if v < window)
+    weights._admit(200 * n, f"jump set below {window}: {n} values as Fractions")
+    values = sorted(v + shift for v in base for shift in range(ceil(window - v)))
+    return JumpSet(values=tuple(values), window=window, periodic_tail=True)
 
 
 def periodic_extend(chain: JumpChain, alpha: Fraction) -> ScaledIdeal:

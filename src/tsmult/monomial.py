@@ -41,27 +41,12 @@ def _dominates(p: Exponent, q: Exponent) -> bool:
 def minimal_antichain(points: Iterable[Exponent]) -> tuple[Exponent, ...]:
     """Reduce a set of exponents to its minimal elements, lex-sorted."""
     pts = sorted(set(points), key=lambda t: (sum(t), t))
-    if len(pts) > 64:
-        return _minimal_antichain_np(pts)
     kept: list[Exponent] = []
     for p in pts:
         # sorted by total degree, so only earlier points can dominate p
         if not any(_dominates(k, p) for k in kept):
             kept.append(p)
     return tuple(sorted(kept))
-
-
-def _minimal_antichain_np(pts: list[Exponent]) -> tuple[Exponent, ...]:
-    arr = np.array(pts, dtype=np.int64)
-    kept_rows: list[int] = []
-    for i in range(arr.shape[0]):
-        if not kept_rows:
-            kept_rows.append(i)
-            continue
-        ka = arr[kept_rows]
-        if not (ka <= arr[i]).all(axis=1).any():
-            kept_rows.append(i)
-    return tuple(sorted(tuple(int(v) for v in arr[i]) for i in kept_rows))
 
 
 class MonomialIdeal:

@@ -7,18 +7,19 @@ mod-1 fold reproduces the eigentable.  Under sums in disjoint variables
 spectra convolve additively while eigentables convolve with a fold back
 into (-1, 0].
 
-All three convolutions run on one exact integer engine: a table is a pair
-of int64 arrays, distinct keys (numerators over a common denominator) and
-their counts, and the sum of two tables pairs every key with every key.
-Fractions are made only at the edge, once per output entry.
+Both are int64 numerators over a denominator with int64 counts; the
+convolutions are one exact pair sum on those arrays and the fold is a
+remainder and a merge.  Fractions are made only when entries are read.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
-from math import lcm
+from math import gcd, lcm
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -36,6 +37,15 @@ def _fits_int64(what: str, key_bound: int, count_bound: int) -> None:
                             f"{count_bound} overflow 64-bit integers")
 
 
+def _merge(keys: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct keys ascending with summed counts: one stable argsort groups
+    equal keys into runs, and np.add.reduceat sums each run."""
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    starts = np.flatnonzero(np.diff(keys, prepend=keys[:1] - 1))
+    return keys[starts], np.add.reduceat(counts[order], starts)
+
+
 def _pair_sum(keys_a: np.ndarray, counts_a: np.ndarray, keys_b: np.ndarray,
               counts_b: np.ndarray, what: str, modulus: int = 0
               ) -> tuple[np.ndarray, np.ndarray]:
@@ -43,36 +53,19 @@ def _pair_sum(keys_a: np.ndarray, counts_a: np.ndarray, keys_b: np.ndarray,
 
     Each pair's key is the sum of its two keys (reduced mod modulus when
     given) and its count the product of its two counts; pairs with equal
-    keys merge.  One stable argsort groups equal keys into runs, and
-    np.add.reduceat sums each run.  Returns the distinct keys ascending
-    with their counts.  The keys, counts and sort index of all pairs, 24
-    bytes a pair, are admitted before they are allocated.
+    keys merge.  The keys, counts and sort index of all pairs, 24 bytes a
+    pair, are admitted before they are allocated.
     """
     n = len(keys_a) * len(keys_b)
     _admit(24 * n, f"{what}: {len(keys_a)} x {len(keys_b)} = {n} term pairs")
-    if not n:
-        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
     keys = np.add.outer(keys_a, keys_b).ravel()
     if modulus:
         keys %= modulus
-    counts = np.multiply.outer(counts_a, counts_b).ravel()
-    order = np.argsort(keys, kind="stable")
-    keys = keys[order]
-    starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
-    return keys[starts], np.add.reduceat(counts[order], starts)
-
-
-def _table(entries: tuple[tuple[Rat, int], ...], denom: int, sign: int = 1
-           ) -> tuple[np.ndarray, np.ndarray]:
-    """Keys sign·k·denom (integers when denom is a multiple of every key's
-    denominator) and counts of a Fraction-keyed table, as int64 arrays."""
-    keys = [sign * k.numerator * (denom // k.denominator) for k, _ in entries]
-    return (np.array(keys, dtype=np.int64),
-            np.array([m for _, m in entries], dtype=np.int64))
+    return _merge(keys, np.multiply.outer(counts_a, counts_b).ravel())
 
 
 def _admit_entries(n: int, what: str) -> None:
-    """Refuse a table of n (Fraction, int) entries before it is built.
+    """Refuse a table whose n entries, read as (Fraction, int), would not fit.
 
     An entry's tuple, Fraction and ints hold about 200 bytes of Python
     objects, against 16 bytes for the two int64s it is made from.
@@ -80,65 +73,99 @@ def _admit_entries(n: int, what: str) -> None:
     _admit(200 * n, f"{what}: {n} distinct values as Fractions")
 
 
-def _entries(keys: np.ndarray, counts: np.ndarray, denom: int, what: str
-             ) -> tuple[tuple[Fraction, int], ...]:
-    """(key / denom, count) entries, one Fraction each, in the arrays' order."""
-    _admit_entries(len(keys), what)
-    return tuple(zip(map(Fraction, keys.tolist(), repeat(denom)), counts.tolist()))
+def _parse(entries: Iterable[tuple[Rat, int]], what: str, span: int
+           ) -> tuple[int, np.ndarray, np.ndarray]:
+    """Denominator, keys and counts of (value, multiplicity) entries with
+    |value| < span, in any order; a repeated value's multiplicities add."""
+    entries = [(Fraction(v), m) for v, m in entries]
+    for v, m in entries:
+        if m < 1:
+            raise ValueError(f"multiplicity at {v} must be positive")
+    denom = lcm(*(v.denominator for v, _ in entries))
+    keys = [v.numerator * (denom // v.denominator) for v, _ in entries]
+    mults = [m for _, m in entries]
+    _fits_int64(what, span * denom, sum(mults))
+    return denom, *_merge(np.array(keys, dtype=np.int64), np.array(mults, dtype=np.int64))
 
 
-def _common_denom(*tables) -> int:
-    return lcm(*(k.denominator for t in tables for k, _ in t.entries))
+class _Table:
+    """Exact multiset: the value keys[i] / denom has multiplicity counts[i].
+
+    keys are distinct int64 numerators in ascending order, counts are
+    positive int64, and denom is the least common denominator of the
+    values, so equal tables hold equal arrays.
+    """
+
+    __slots__ = ("denom", "keys", "counts")
+
+    def _set(self, denom: int, keys: np.ndarray, counts: np.ndarray,
+             low: int, high: int, outside: str) -> None:
+        """Store the table after checking low < key < high for every key."""
+        if len(keys) and not (low < keys[0] and keys[-1] < high):
+            bad = keys[0] if keys[0] <= low else keys[-1]
+            raise ValueError(outside.format(Fraction(int(bad), denom)))
+        g = gcd(denom, int(np.gcd.reduce(keys)))
+        keys = keys // g if g > 1 else keys
+        keys.flags.writeable = counts.flags.writeable = False
+        for name, value in (("denom", denom // g), ("keys", keys), ("counts", counts)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    @property
+    def total(self) -> int:
+        return int(self.counts.sum())
+
+    @property
+    def entries(self) -> tuple[tuple[Rat, int], ...]:
+        return tuple(zip(map(Fraction, self.keys.tolist(), repeat(self.denom)),
+                         self.counts.tolist()))
+
+    def as_dict(self) -> dict[Rat, int]:
+        return dict(self.entries)
+
+    def __eq__(self, other: object) -> bool:
+        return (type(other) is type(self) and self.denom == other.denom
+                and np.array_equal(self.keys, other.keys)
+                and np.array_equal(self.counts, other.counts))
+
+    def to_json(self) -> dict:
+        return {"entries": [{self._name: str(k), "mult": m} for k, m in self.entries]}
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self.to_json()})"
 
 
-@dataclass(frozen=True)
-class EigenTable:
+class EigenTable(_Table):
     """Finite multiplicity table with keys in (-1, 0]."""
 
-    entries: tuple[tuple[Rat, int], ...]
+    __slots__ = ()
+    _name = "alpha"
 
-    def __post_init__(self):
-        for key, mult in self.entries:
-            if not -1 < key <= 0:
-                raise ValueError(f"eigentable key {key} outside (-1, 0]")
-            if mult < 1:
-                raise ValueError(f"multiplicity at {key} must be positive")
-
-    @property
-    def total(self) -> int:
-        return sum(m for _, m in self.entries)
-
-    def as_dict(self) -> dict[Rat, int]:
-        return dict(self.entries)
-
-    def to_json(self) -> dict:
-        return {"entries": [{"alpha": str(k), "mult": m} for k, m in self.entries]}
+    def __init__(self, entries: Iterable[tuple[Rat, int]] = (), *,
+                 _table: tuple[int, np.ndarray, np.ndarray] | None = None):
+        denom, keys, counts = _table or _parse(entries, "eigentable", 1)
+        self._set(denom, keys, counts, -denom, 1, "eigentable key {} outside (-1, 0]")
 
 
-@dataclass(frozen=True)
-class Spectrum:
+class Spectrum(_Table):
     """Multiset of rational exponents in the open interval (0, dim)."""
 
-    dim: int
-    entries: tuple[tuple[Rat, int], ...]
+    __slots__ = ("dim",)
+    _name = "value"
 
-    def __post_init__(self):
-        for key, mult in self.entries:
-            if not 0 < key < self.dim:
-                raise ValueError(f"spectrum entry {key} outside (0, {self.dim})")
-            if mult < 1:
-                raise ValueError(f"multiplicity at {key} must be positive")
+    def __init__(self, dim: int, entries: Iterable[tuple[Rat, int]] = (), *,
+                 _table: tuple[int, np.ndarray, np.ndarray] | None = None):
+        object.__setattr__(self, "dim", dim)
+        denom, keys, counts = _table or _parse(entries, "spectrum", dim)
+        self._set(denom, keys, counts, 0, dim * denom, f"spectrum entry {{}} outside (0, {dim})")
 
-    @property
-    def total(self) -> int:
-        return sum(m for _, m in self.entries)
-
-    def as_dict(self) -> dict[Rat, int]:
-        return dict(self.entries)
+    def __eq__(self, other: object) -> bool:
+        return super().__eq__(other) and self.dim == other.dim
 
     def to_json(self) -> dict:
-        return {"dim": self.dim,
-                "entries": [{"value": str(k), "mult": m} for k, m in self.entries]}
+        return {"dim": self.dim, **super().to_json()}
 
 
 def one_var_eigentable(m: int) -> EigenTable:
@@ -146,7 +173,8 @@ def one_var_eigentable(m: int) -> EigenTable:
     if m < 2:
         raise ValueError("need an exponent >= 2")
     _admit_entries(m - 1, f"eigentable of z^{m}")
-    return EigenTable(tuple((Fraction(-i, m), 1) for i in range(m - 1, 0, -1)))
+    return EigenTable(_table=(m, np.arange(1 - m, 0, dtype=np.int64),
+                              np.ones(m - 1, dtype=np.int64)))
 
 
 def phi_convolve(t1: EigenTable, t2: EigenTable) -> EigenTable:
@@ -157,13 +185,19 @@ def phi_convolve(t1: EigenTable, t2: EigenTable) -> EigenTable:
     common denominator L a key a is the integer -a·L in [0, L), and the
     fold is the sum of those integers mod L.
     """
-    denom = _common_denom(t1, t2)
+    denom = lcm(t1.denom, t2.denom)
     what = f"eigentable convolution over denominator {denom}"
     _fits_int64(what, 2 * denom, t1.total * t2.total)
-    keys, counts = _pair_sum(*_table(t1.entries, denom, -1), *_table(t2.entries, denom, -1),
-                             what, modulus=denom)
+    keys, counts = _pair_sum(t1.keys * -(denom // t1.denom), t1.counts,
+                             t2.keys * -(denom // t2.denom), t2.counts, what, modulus=denom)
+    _admit_entries(len(keys), what)
     # ascending keys -k/denom are the integers k in descending order
-    return EigenTable(_entries(-keys[::-1], counts[::-1], denom, what))
+    return EigenTable(_table=(denom, -keys[::-1], counts[::-1]))
+
+
+def _eigentable_of(ms: Sequence[int]) -> EigenTable:
+    """Eigenvalue table of z1^m1 + ... + zd^md: its one-variable tables' phi product."""
+    return functools.reduce(phi_convolve, [one_var_eigentable(m) for m in ms])
 
 
 def spectrum_of(germ: Germ) -> Spectrum:
@@ -186,34 +220,29 @@ def spectrum_of(germ: Germ) -> Spectrum:
         k = np.arange(1, m, dtype=np.int64) * (denom // m)
         c = np.ones(m - 1, dtype=np.int64)
         keys, counts = (k, c) if keys is None else _pair_sum(keys, counts, k, c, what)
-    return Spectrum(germ.dim, _entries(keys, counts, denom, what))
+    _admit_entries(len(keys), what)
+    return Spectrum(germ.dim, _table=(denom, keys, counts))
 
 
 def spectrum_convolve(s1: Spectrum, s2: Spectrum) -> Spectrum:
     """Additive convolution without folding; dimensions add."""
-    denom = _common_denom(s1, s2)
+    denom = lcm(s1.denom, s2.denom)
     dim = s1.dim + s2.dim
     what = f"spectrum convolution over denominator {denom}"
     _fits_int64(what, dim * denom, s1.total * s2.total)
-    keys, counts = _pair_sum(*_table(s1.entries, denom), *_table(s2.entries, denom), what)
-    return Spectrum(dim, _entries(keys, counts, denom, what))
+    keys, counts = _pair_sum(s1.keys * (denom // s1.denom), s1.counts,
+                             s2.keys * (denom // s2.denom), s2.counts, what)
+    _admit_entries(len(keys), what)
+    return Spectrum(dim, _table=(denom, keys, counts))
 
 
 def fold_spectrum(spectrum: Spectrum) -> EigenTable:
     """Fold exponents mod 1 into (-1, 0]: s maps to -(s mod 1), integers to 0.
 
-    The fold of p/q in lowest terms is -(p mod q)/q, so the counts gather
-    on the integer pairs (p mod q, q) and each key becomes a Fraction once.
+    Over the spectrum's denominator D the key k folds to -(k mod D).
     """
-    acc: dict[tuple[int, int], int] = {}
-    for s, m in spectrum.entries:
-        q = s.denominator
-        key = (s.numerator % q, q)
-        acc[key] = acc.get(key, 0) + m
-    # keys -r/q ascending are the integers r·(L/q) descending, L = lcm(q)
-    denom = lcm(*(q for _, q in acc))
-    order = sorted(acc, key=lambda rq: -rq[0] * (denom // rq[1]))
-    return EigenTable(tuple((Fraction(-r, q), acc[r, q]) for r, q in order))
+    keys, counts = _merge(-(spectrum.keys % spectrum.denom), spectrum.counts)
+    return EigenTable(_table=(spectrum.denom, keys, counts))
 
 
 @dataclass(frozen=True)
@@ -265,9 +294,7 @@ def consistency_check(germ: Germ) -> SpectralReport:
     """
     spectrum = spectrum_of(germ)
     folded = fold_spectrum(spectrum)
-    conv = one_var_eigentable(germ.exponents[0])
-    for m in germ.exponents[1:]:
-        conv = phi_convolve(conv, one_var_eigentable(m))
+    conv = _eigentable_of(germ.exponents)
     entries = spectrum.as_dict()
     symmetric = all(entries.get(germ.dim - s) == mult for s, mult in entries.items())
     min_value = min(entries)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import resource
@@ -198,11 +199,12 @@ def test_exit_code_domain_error(capsys):
 
 @pytest.mark.parametrize("argv, size", [
     (["irrationality", "x^200+y^205+z^209"], "37966752 atoms"),
-    (["ideal", "--alpha", "1/2", "x^25000+y^25000"], "74997 x 74997 atoms"),
+    (["ideal", "--alpha", "1/2", "x^25000+y^25000"], "2812387501 atoms"),
     (["spectrum", "x^40000+y^40001"], "39999 x 40000 = 1599960000 term pairs"),
     (["eigen", "x^40000+y^40001"], "39999 x 40000 = 1599960000 term pairs"),
     (["spectrum", "x^6000000"], "5999999 distinct values"),
     (["eigen", "x^6000000"], "5999999 distinct values"),
+    (["jc", "--window", "10000000", "x^2+y^3"], "19999999 values"),
 ])
 def test_exit_code_oversized_input_refused(capsys, argv, size):
     code, out, err = _run(capsys, argv)
@@ -210,6 +212,22 @@ def test_exit_code_oversized_input_refused(capsys, argv, size):
     assert out == ""
     assert err.count("\n") == 1 and err.startswith("error: ") and size in err
     assert "Traceback" not in err and "GiB" in err
+
+
+def test_cli_matches_recorded_digests(capsys, monkeypatch):
+    # exit codes and stdout digests recorded for the benchmark's CLI catalogue
+    monkeypatch.delenv("TSMULT_WINDOW", raising=False)
+    recorded = Path(__file__).resolve().parents[1] / "bench" / "cli_expected.json"
+    expected = json.loads(recorded.read_text())
+    assert expected
+    for key, want in expected.items():
+        try:
+            code = main(json.loads(key))
+        except SystemExit as exc:  # argparse rejects the argv
+            code = exc.code
+        out = capsys.readouterr().out.encode()
+        assert code == want["exit"], key
+        assert hashlib.sha256(out).hexdigest() == want["stdout_sha256"], key
 
 
 def _child_env():

@@ -1,4 +1,5 @@
 import itertools
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -7,7 +8,7 @@ from tsmult.convolution import (alpha_one_sequence_check, irrationality_dim,
                                 irrationality_module, ts_convolve_chains,
                                 ts_graded, ts_jumpset, ts_lct, ts_multiplier)
 from tsmult.errors import ChainKindError, NotReduced, WindowExceeded
-from tsmult.filtration import jumpset_of, v_lookup, v_to_j
+from tsmult.filtration import jumpset_of, periodic_extend, v_lookup, v_to_j
 from tsmult.germs import (Germ, diagonal_microlocal_chain, diagonal_usual_chain,
                           lct, one_var_microlocal_chain)
 from tsmult.weights import achieved_levels, generators_at
@@ -89,6 +90,18 @@ def test_ts_multiplier_matches_bruteforce_usual():
         got = ts_multiplier(c1, c2, alpha).gens
         assert got == tuple(bf_diagonal_gens((3, 4), alpha, strict=True,
                                              usual=True)), alpha
+
+
+def test_ts_multiplier_matches_usual_chain():
+    # the convolved microlocal route and the direct usual chain agree below 1
+    for ms in [(2, 3), (3, 5), (4, 6), (2, 3, 5), (3, 3, 4)]:
+        c1 = one_var_microlocal_chain(ms[0], window=F(1))
+        c2 = diagonal_microlocal_chain(Germ(ms[1:]), window=F(1))
+        usual = diagonal_usual_chain(Germ(ms))
+        den = 2 * math.lcm(*ms)
+        for n in range(1, den):
+            alpha = F(n, den)
+            assert ts_multiplier(c1, c2, alpha) == periodic_extend(usual, alpha).ideal, (ms, alpha)
 
 
 def test_ts_multiplier_domain():

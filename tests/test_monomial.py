@@ -22,7 +22,7 @@ def test_minimal_antichain_matches_bruteforce_3d(pts):
     assert list(minimal_antichain(pts)) == bf_minimal(pts)
 
 
-def test_minimal_antichain_large_input_numpy_path():
+def test_minimal_antichain_large_input():
     pts = [(i, j) for i in range(12) for j in range(12) if i + j >= 8]
     assert list(minimal_antichain(pts)) == bf_minimal(pts)
 

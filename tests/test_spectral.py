@@ -42,6 +42,45 @@ def test_spectrum_validation():
     assert Spectrum(2, ((F(1), 3),)).total == 3
 
 
+def test_hand_built_tables_equal_engine_tables():
+    assert EigenTable(((F(-1, 6), 1), (F(-5, 6), 1))) == \
+        phi_convolve(one_var_eigentable(2), one_var_eigentable(3))
+    assert Spectrum(2, [(F(7, 6), 1), (F(5, 6), 1)]) == spectrum_of(Germ((2, 3)))
+    assert Spectrum(3, [(F(3, 2), 1)]) == spectrum_of(Germ((2, 2, 2)))
+    assert Spectrum(2, [(F(3, 2), 1)]) != spectrum_of(Germ((2, 2, 2)))  # dims differ
+    # (2,2): -1/2 - 1/2 folds to 0, stored over the least denominator 1
+    table = phi_convolve(one_var_eigentable(2), one_var_eigentable(2))
+    assert table == EigenTable([(0, 1)]) == fold_spectrum(spectrum_of(Germ((2, 2))))
+    assert (table.denom, table.keys.tolist(), table.counts.tolist()) == (1, [0], [1])
+
+
+def test_hand_built_tables_are_sorted_multisets():
+    table = EigenTable([(F(-1, 4), 1), (F(-3, 4), 2), (F(-1, 4), 3)])
+    assert table.entries == ((F(-3, 4), 2), (F(-1, 4), 4))
+    assert (table.denom, table.keys.tolist(), table.counts.tolist()) == (4, [-3, -1], [2, 4])
+    assert table.total == 6
+    spectrum = Spectrum(2, [(F(3, 2), 1), (F(1, 2), 1)])
+    assert spectrum.entries == ((F(1, 2), 1), (F(3, 2), 1))
+    with pytest.raises(ValueError):
+        EigenTable([(F(-1, 4), 0), (F(-1, 4), 1)])   # checked before merging
+
+
+def test_empty_tables():
+    assert EigenTable(()).total == 0 and EigenTable(()).entries == ()
+    assert EigenTable(()) == EigenTable([])
+    assert Spectrum(2, ()).total == 0
+    assert phi_convolve(EigenTable(()), one_var_eigentable(3)) == EigenTable(())
+    assert fold_spectrum(Spectrum(2, ())) == EigenTable(())
+
+
+def test_tables_are_immutable():
+    table = one_var_eigentable(5)
+    with pytest.raises(AttributeError):
+        table.denom = 7
+    with pytest.raises(ValueError):
+        table.keys[0] = 0
+
+
 def test_phi_convolve_cusp_golden():
     table = phi_convolve(one_var_eigentable(2), one_var_eigentable(3))
     assert table.entries == ((F(-5, 6), 1), (F(-1, 6), 1))
@@ -163,6 +202,11 @@ def test_int64_overflow_refused():
     big = EigenTable(((F(-1, 1 << 62), 1),))
     with pytest.raises(ResourceLimit, match="64-bit"):
         phi_convolve(big, big)
+    # a hand-built table whose denominator int64 cannot hold
+    with pytest.raises(ResourceLimit, match="64-bit"):
+        EigenTable(((F(-1, 1 << 63), 1),))
+    with pytest.raises(ResourceLimit, match="64-bit"):
+        Spectrum(2, ((F(1), 1 << 63),))
 
 
 def test_enumeration_mismatch_fails_the_check(monkeypatch):
