@@ -26,7 +26,7 @@ from .germs import (Germ, diagonal_microlocal_chain, diagonal_usual_chain,
 from .monomial import MonomialIdeal, QuotientBasis
 from .oracles import (MonteCarloConfig, mc_case_set, monte_carlo_integrable,
                       summation_path)
-from .spectral import _eigentable_of, consistency_check, spectrum_of
+from .spectral import EigenTable, Spectrum, _eigentable_of, consistency_check, spectrum_of
 
 _IDENT_START = frozenset(string.ascii_letters + "_")
 _IDENT_CONT = _IDENT_START | frozenset(string.digits)
@@ -276,17 +276,23 @@ def cmd_graded(args: argparse.Namespace) -> int:
     return 0
 
 
+def _emit_table(args: argparse.Namespace, table: Spectrum | EigenTable) -> None:
+    """Print a spectrum or eigentable as JSON or as one "value mult" line per entry,
+    building only the output that is printed."""
+    if args.json:
+        print(json.dumps(table.to_json(), indent=2))
+    else:
+        for v, m in zip(table.value_strings(), table.counts.tolist()):
+            print(f"{v} {m}")
+
+
 def cmd_spectrum(args: argparse.Namespace) -> int:
-    germ = to_germ(parse(args.germ))
-    spectrum = spectrum_of(germ)
-    _emit(args, spectrum.to_json(), [f"{v} {m}" for v, m in spectrum.entries])
+    _emit_table(args, spectrum_of(to_germ(parse(args.germ))))
     return 0
 
 
 def cmd_eigen(args: argparse.Namespace) -> int:
-    germ = to_germ(parse(args.germ))
-    table = _eigentable_of(germ.exponents)
-    _emit(args, table.to_json(), [f"{a} {m}" for a, m in table.entries])
+    _emit_table(args, _eigentable_of(to_germ(parse(args.germ)).exponents))
     return 0
 
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
+from functools import reduce
 from fractions import Fraction
 from itertools import product
 from typing import NamedTuple, Sequence
@@ -44,18 +45,27 @@ def one_var_integrable(g: int, m: int, alpha: Rat) -> bool:
 class Constraint(NamedTuple):
     """Linear constraint sum(coeffs * x) <= rhs, strict when flagged."""
 
-    coeffs: tuple[Fraction, ...]
-    rhs: Fraction
+    coeffs: tuple[int | Fraction, ...]
+    rhs: int | Fraction
     strict: bool
 
 
 def fm_feasible(constraints: Sequence[Constraint], nvars: int) -> bool:
-    """Exact feasibility of a rational linear system by variable elimination."""
-    work = [Constraint(tuple(c.coeffs), Fraction(c.rhs), c.strict) for c in constraints]
+    """Exact feasibility of a rational linear system by variable elimination.
+
+    Each row is scaled to integers by the lcm of its denominators, and each
+    combined row is divided by the gcd of its entries; a positive factor
+    keeps both <= and <, so the elimination runs on Python ints throughout.
+    """
+    work = []
+    for c in constraints:
+        row = (*c.coeffs, c.rhs)
+        scale = math.lcm(*(v.denominator for v in row))
+        work.append(([v.numerator * (scale // v.denominator) for v in row], c.strict))
     for var in range(nvars):
         pos, neg, rest = [], [], []
         for c in work:
-            a = c.coeffs[var]
+            a = c[0][var]
             if a > 0:
                 pos.append(c)
             elif a < 0:
@@ -63,19 +73,21 @@ def fm_feasible(constraints: Sequence[Constraint], nvars: int) -> bool:
             else:
                 rest.append(c)
         combined = []
-        for p in pos:
-            a = p.coeffs[var]
-            for n in neg:
-                b = -n.coeffs[var]
-                coeffs = tuple(b * pc + a * nc for pc, nc in zip(p.coeffs, n.coeffs))
-                combined.append(Constraint(coeffs, b * p.rhs + a * n.rhs,
-                                           p.strict or n.strict))
+        for p, p_strict in pos:
+            a = p[var]
+            for n, n_strict in neg:
+                b = -n[var]
+                row = [b * pc + a * nc for pc, nc in zip(p, n)]
+                g = math.gcd(*row)
+                if g > 1:
+                    row = [v // g for v in row]
+                combined.append((row, p_strict or n_strict))
         work = rest + combined
         pruned = []
-        for c in work:
-            if any(c.coeffs):
-                pruned.append(c)
-            elif c.rhs < 0 or (c.strict and c.rhs == 0):
+        for row, strict in work:
+            if any(row[:-1]):
+                pruned.append((row, strict))
+            elif row[-1] < 0 or (strict and row[-1] == 0):
                 return False
         work = pruned
     return True
@@ -137,49 +149,54 @@ def newton_membership(a: MonomialIdeal, nu: Sequence[int], alpha: Rat) -> bool:
 
     The hull is conv(generators) + the positive orthant, so interiority is
     equivalent to dominating a convex combination of generators with a
-    uniform positive slack in every coordinate.
+    uniform positive slack in every coordinate.  With alpha = p/q the rows
+    are integers: p·(sum of lambda_i g_i + slack) <= q·(nu + 1), lambda >= 0,
+    slack > 0, and the last lambda is 1 minus the others.
     """
     if a.is_zero:
         raise ValueError("the zero ideal has no Newton polyhedron")
     alpha = Fraction(alpha)
     if alpha <= 0:
         raise ValueError("alpha must be positive")
-    nu = tuple(nu)
-    gens = a.gens
-    n = len(gens) + 1  # lambda per generator, then the slack
-    zero = Fraction(0)
-    one = Fraction(1)
+    nu = tuple(int(v) for v in nu)
+    if len(nu) != a.dim or any(v < 0 for v in nu):
+        raise ValueError(f"bad monomial exponent {nu} for a {a.dim}-variable ideal")
+    p, q = alpha.numerator, alpha.denominator
+    *gens, last = a.gens
+    n = len(gens) + 1  # lambda per generator but the last, then the slack
     cons: list[Constraint] = []
-    for g_idx in range(len(gens)):
-        coeffs = tuple(-one if i == g_idx else zero for i in range(n))
-        cons.append(Constraint(coeffs, zero, False))
-    lam_row = tuple(one if i < len(gens) else zero for i in range(n))
-    cons.append(Constraint(lam_row, one, False))
-    cons.append(Constraint(tuple(-c for c in lam_row), -one, False))
+    for i in range(len(gens)):
+        cons.append(Constraint(tuple(-1 if k == i else 0 for k in range(n)), 0, False))
+    cons.append(Constraint((1,) * len(gens) + (0,), 1, False))  # last lambda >= 0
     for coord in range(a.dim):
-        coeffs = tuple(Fraction(gens[i][coord]) if i < len(gens) else one
-                       for i in range(n))
-        cons.append(Constraint(coeffs, Fraction(nu[coord] + 1) / alpha, False))
-    eps_row = tuple(zero if i < len(gens) else -one for i in range(n))
-    cons.append(Constraint(eps_row, zero, True))
+        coeffs = tuple(p * (g[coord] - last[coord]) for g in gens) + (p,)
+        cons.append(Constraint(coeffs, q * (nu[coord] + 1) - p * last[coord], False))
+    cons.append(Constraint((0,) * len(gens) + (-1,), 0, True))
     return fm_feasible(cons, n)
 
 
 def summation_path(m1: int, m2: int, alpha: Rat) -> MonomialIdeal:
     """Multiplier ideal of (z1^m1, z2^m2) at alpha in (0,1), two ways.
 
-    Route one scans a box with the rational-LP membership test; route two
-    evaluates the split formula over one-variable chains, one external
-    product per interval between adjacent candidate split points.  The
-    routes must agree; the common ideal is returned.
+    Route one walks the staircase boundary of the box with the rational-LP
+    membership test; route two evaluates the split formula over one-variable
+    chains, one external product per interval between adjacent candidate
+    split points.  The routes must agree; the common ideal is returned.
     """
     alpha = Fraction(alpha)
     if not 0 < alpha < 1:
         raise ValueError("alpha must lie in (0, 1)")
     a = MonomialIdeal(2, [(m1, 0), (0, m2)])
-    members = [(i, j) for i in range(m1 + 1) for j in range(m2 + 1)
-               if newton_membership(a, (i, j), alpha)]
-    newton_route = MonomialIdeal(2, members)
+    # membership is upward-closed, so the first member row of column i is at
+    # most that of column i - 1: walk down the staircase boundary from there
+    boundary = []
+    j = m2 + 1
+    for i in range(m1 + 1):
+        while j > 0 and newton_membership(a, (i, j - 1), alpha):
+            j -= 1
+        if j <= m2:
+            boundary.append((i, j))
+    newton_route = MonomialIdeal(2, boundary)
 
     c1 = one_var_usual_chain(m1)
     c2 = one_var_usual_chain(m2)
@@ -207,12 +224,28 @@ class MonteCarloConfig:
     margin: float = 0.05
     seed: int = 0
 
+    def __post_init__(self) -> None:
+        # a slope needs two shells and an estimate one sample
+        if self.shells < 2:
+            raise ValueError(f"need at least 2 shells, got {self.shells}")
+        if self.samples < 1:
+            raise ValueError(f"need at least 1 sample, got {self.samples}")
+        if not 0 <= self.margin < 1:
+            raise ValueError(f"margin {self.margin} outside [0, 1)")
+
 
 def _case_key(ms: Sequence[int], nu: Sequence[int], alpha: Fraction) -> int:
     h = 0
     for v in (*ms, -1, *nu, -1, alpha.numerator, alpha.denominator):
         h = (h * 1000003 + v + 11) % ((1 << 61) - 1)
     return h
+
+
+def _row_sum(terms: np.ndarray) -> np.ndarray:
+    """terms.sum(axis=1), bit for bit.  numpy adds up to three complex terms
+    of a row in order, so those run as column adds on views; it adds four or
+    more pairwise, so those rows stay a row reduce."""
+    return reduce(np.add, terms.T) if terms.shape[1] < 4 else terms.sum(axis=1)
 
 
 def monte_carlo_integrable(germ: Germ, nu: Sequence[int], alpha: Rat,
@@ -244,10 +277,12 @@ def monte_carlo_integrable(germ: Germ, nu: Sequence[int], alpha: Rat,
         radii = radius * np.sqrt(rng.random((config.samples, d)))
         theta = rng.random((config.samples, d))
         z = radii * np.exp(2j * np.pi * theta)
-        in_shell = radii.max(axis=1) > radius / 2.0
-        f_abs = np.abs((coeffs * z ** ms).sum(axis=1))
+        # reductions over a row's d entries run as d - 1 whole-column ops on
+        # views, in numpy's order for a row reduce, so the bits are the same
+        in_shell = reduce(np.maximum, radii.T) > radius / 2.0
+        f_abs = np.abs(_row_sum(coeffs * z ** ms))
         np.maximum(f_abs, 1e-300, out=f_abs)
-        integrand = np.prod(radii ** two_nu, axis=1) / f_abs ** two_alpha
+        integrand = reduce(np.multiply, (radii ** two_nu).T) / f_abs ** two_alpha
         volume = (np.pi * radius * radius) ** d
         estimates.append(volume * float(np.mean(integrand * in_shell)))
     ks = np.arange(1, config.shells + 1, dtype=np.float64)
@@ -303,6 +338,7 @@ def mc_case_set(count: int = 200, seed: int = 1,
     """
     rng = np.random.default_rng([seed, 0xCA5E5])
     cases: list[MonteCarloCase] = []
+    jumps: dict[tuple[int, ...], set[Fraction]] = {}  # usual jumps per exponent tuple
     while len(cases) < count:
         d = 1 if rng.random() < 0.55 else 2
         ms = tuple(int(rng.integers(2, 6)) for _ in range(d))
@@ -310,8 +346,10 @@ def mc_case_set(count: int = 200, seed: int = 1,
         germ = Germ(ms)
         weight = sum(one_var_weight(m, v, usual=True) for m, v in zip(ms, nu))
         threshold = min(weight, Fraction(1))
-        micro = jumpset_of(diagonal_microlocal_chain(germ, window=Fraction(1)))
-        guarded = set(usual_jumpset(micro, Fraction(2)).values) | {threshold}
+        if ms not in jumps:
+            micro = jumpset_of(diagonal_microlocal_chain(germ, window=Fraction(1)))
+            jumps[ms] = set(usual_jumpset(micro, Fraction(2)).values)
+        guarded = jumps[ms] | {threshold}
         # compare integer numerators over one common denominator
         den = math.lcm(60, min_gap.denominator, *(t.denominator for t in guarded))
         gap = min_gap.numerator * (den // min_gap.denominator)

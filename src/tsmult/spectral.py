@@ -130,8 +130,16 @@ class _Table:
                 and np.array_equal(self.keys, other.keys)
                 and np.array_equal(self.counts, other.counts))
 
+    def value_strings(self) -> list[str]:
+        """Each value as str(Fraction) prints it, made from the keys reduced
+        by their gcd with the denominator rather than from Fractions."""
+        g = np.gcd(self.keys, self.denom)
+        return [f"{p}/{q}" if q != 1 else str(p)
+                for p, q in zip((self.keys // g).tolist(), (self.denom // g).tolist())]
+
     def to_json(self) -> dict:
-        return {"entries": [{self._name: str(k), "mult": m} for k, m in self.entries]}
+        return {"entries": [{self._name: v, "mult": m}
+                            for v, m in zip(self.value_strings(), self.counts.tolist())]}
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.to_json()})"

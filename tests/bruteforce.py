@@ -3,7 +3,10 @@
 Everything here is written from first principles with plain Python data
 structures: divisibility scans instead of antichain bookkeeping, weight
 recursions instead of closed forms, and exhaustive box enumeration
-instead of vectorized tables.
+instead of vectorized tables.  The two oracle kernels at the end are the
+earlier forms of the package's own: Fraction elimination for the LP and
+numpy's row reductions for Monte Carlo, which the faster forms must match
+verdict for verdict and bit for bit.
 """
 
 from __future__ import annotations
@@ -13,6 +16,10 @@ import math
 from fractions import Fraction
 from math import lcm
 from typing import Iterable, Sequence
+
+import numpy as np
+
+from tsmult.oracles import Constraint, _case_key
 
 
 def bf_usual_weight(m: int, k: int) -> Fraction:
@@ -149,3 +156,66 @@ def bf_permuted_atoms(model, perm: Sequence[int]) -> list[tuple]:
     """A weight model's atoms as sorted (exponent, weight, drop) rows, variables relabelled."""
     exps = bf_permuted(model.exps.tolist(), perm)
     return sorted(zip(exps, model.weight.tolist(), model.drop.tolist()))
+
+
+def bf_fm_feasible(constraints, nvars: int) -> bool:
+    """Fourier–Motzkin elimination on Fraction rows, with no integer scaling."""
+    work = [Constraint(tuple(c.coeffs), Fraction(c.rhs), c.strict) for c in constraints]
+    for var in range(nvars):
+        pos, neg, rest = [], [], []
+        for c in work:
+            a = c.coeffs[var]
+            if a > 0:
+                pos.append(c)
+            elif a < 0:
+                neg.append(c)
+            else:
+                rest.append(c)
+        combined = []
+        for p in pos:
+            a = p.coeffs[var]
+            for n in neg:
+                b = -n.coeffs[var]
+                coeffs = tuple(b * pc + a * nc for pc, nc in zip(p.coeffs, n.coeffs))
+                combined.append(Constraint(coeffs, b * p.rhs + a * n.rhs,
+                                           p.strict or n.strict))
+        work = rest + combined
+        pruned = []
+        for c in work:
+            if any(c.coeffs):
+                pruned.append(c)
+            elif c.rhs < 0 or (c.strict and c.rhs == 0):
+                return False
+        work = pruned
+    return True
+
+
+def bf_mc_estimates(germ, nu: Sequence[int], alpha: Fraction,
+                    config) -> tuple[list[float], float]:
+    """Per-shell estimates and fitted ratio of the Monte Carlo oracle, with
+    numpy's reductions over axis 1 of the (samples, d) draws."""
+    alpha = Fraction(alpha)
+    nu = tuple(int(v) for v in nu)
+    d = germ.dim
+    ms = np.array(germ.exponents, dtype=np.float64)
+    coeffs = np.array([float(c) for c in germ.coefficients], dtype=np.float64)
+    two_nu = 2.0 * np.array(nu, dtype=np.float64)
+    two_alpha = 2.0 * float(alpha)
+    key = _case_key(germ.exponents, nu, alpha)
+    estimates = []
+    for k in range(1, config.shells + 1):
+        rng = np.random.default_rng([config.seed, key, k])
+        radius = 2.0 ** (-k)
+        radii = radius * np.sqrt(rng.random((config.samples, d)))
+        theta = rng.random((config.samples, d))
+        z = radii * np.exp(2j * np.pi * theta)
+        in_shell = radii.max(axis=1) > radius / 2.0
+        f_abs = np.abs((coeffs * z ** ms).sum(axis=1))
+        np.maximum(f_abs, 1e-300, out=f_abs)
+        integrand = np.prod(radii ** two_nu, axis=1) / f_abs ** two_alpha
+        volume = (np.pi * radius * radius) ** d
+        estimates.append(volume * float(np.mean(integrand * in_shell)))
+    ks = np.arange(1, config.shells + 1, dtype=np.float64)
+    logs = np.log2(np.maximum(estimates, 1e-300))
+    slope = float(np.polyfit(ks, logs, 1)[0])
+    return estimates, 2.0 ** slope

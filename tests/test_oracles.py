@@ -2,6 +2,8 @@ import itertools
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tsmult.errors import OracleMismatch
 from tsmult.filtration import j_lookup
@@ -10,6 +12,8 @@ from tsmult.monomial import MonomialIdeal
 from tsmult.oracles import (Constraint, MonteCarloConfig, exact_monomial_integrable,
                             fm_feasible, mc_case_set, monte_carlo_integrable,
                             newton_membership, one_var_integrable, summation_path)
+
+from bruteforce import bf_fm_feasible, bf_mc_estimates
 
 
 def test_one_var_integrable_goldens():
@@ -54,6 +58,19 @@ def test_fm_feasible_basics():
                             Constraint((F(0), -one), F(0), True)], 2)
 
 
+rationals = st.one_of(st.integers(-3, 3),
+                      st.fractions(min_value=-3, max_value=3, max_denominator=4))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda n: st.tuples(st.just(n), st.lists(
+    st.builds(Constraint, st.tuples(*[rationals] * n), rationals, st.booleans()),
+    min_size=1, max_size=6))))
+def test_fm_feasible_matches_fraction_elimination(system):
+    nvars, constraints = system
+    assert fm_feasible(constraints, nvars) == bf_fm_feasible(constraints, nvars)
+
+
 def test_newton_membership_goldens():
     cubic = MonomialIdeal(1, [(3,)])
     assert newton_membership(cubic, (0,), F(1, 4))
@@ -65,6 +82,30 @@ def test_newton_membership_goldens():
         newton_membership(MonomialIdeal.zero(2), (0, 0), F(1, 2))
     with pytest.raises(ValueError):
         newton_membership(pair, (0, 0), F(0))
+    for nu in [(0,), (0, 0, 5), (0, -1)]:  # too short, too long, negative
+        with pytest.raises(ValueError):
+            newton_membership(pair, nu, F(1, 2))
+
+
+diagonal_ideals = st.lists(st.integers(1, 6), min_size=2, max_size=3).map(
+    lambda ms: MonomialIdeal(len(ms), [tuple(m * (i == j) for i in range(len(ms)))
+                                       for j, m in enumerate(ms)]))
+other_ideals = st.integers(2, 3).flatmap(lambda d: st.lists(
+    st.tuples(*[st.integers(0, 5)] * d), min_size=1, max_size=4).map(
+    lambda gens: MonomialIdeal(d, gens)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(diagonal_ideals, other_ideals),
+       st.lists(st.integers(0, 6), min_size=3, max_size=3),
+       st.fractions(min_value=F(1, 12), max_value=3, max_denominator=12))
+def test_newton_membership_upward_closed(ideal, nu, alpha):
+    # the premise of summation_path's boundary walk
+    nu = tuple(nu[:ideal.dim])
+    if newton_membership(ideal, nu, alpha):
+        for k in range(ideal.dim):
+            up = tuple(v + (i == k) for i, v in enumerate(nu))
+            assert newton_membership(ideal, up, alpha), (ideal.gens, nu, alpha, k)
 
 
 def test_newton_membership_closed_form_diagonal():
@@ -111,7 +152,12 @@ def test_summation_path_small_grid():
     for m1, m2 in itertools.product(range(2, 5), repeat=2):
         den = m1 * m2
         for j in range(1, den):
-            summation_path(m1, m2, F(j, den))  # raises OracleMismatch on failure
+            alpha = F(j, den)
+            a = MonomialIdeal(2, [(m1, 0), (0, m2)])
+            box = MonomialIdeal(2, [(i, k) for i in range(m1 + 1) for k in range(m2 + 1)
+                                    if newton_membership(a, (i, k), alpha)])
+            # raises OracleMismatch when the boundary walk and the split formula differ
+            assert summation_path(m1, m2, alpha) == box, (m1, m2, alpha)
 
 
 def test_exact_monomial_integrable():
@@ -151,6 +197,25 @@ def test_monte_carlo_validation():
         monte_carlo_integrable(cusp, (0, -1), F(1, 2))
     with pytest.raises(ValueError):
         monte_carlo_integrable(cusp, (0, 0), F(-1, 2))
+    for bad in [dict(shells=1), dict(shells=0), dict(samples=0),
+                dict(margin=-0.01), dict(margin=1.0)]:
+        with pytest.raises(ValueError):
+            MonteCarloConfig(**bad)
+    MonteCarloConfig(shells=2, samples=1, margin=0.0)
+
+
+def test_monte_carlo_matches_row_reduction_bits():
+    # whole-column reductions must give the bits of numpy's axis-1 reduce:
+    # few samples let a one-ulp change in one sample reach the estimate, and
+    # the default count spans several of numpy's 8192-element buffers
+    cases = [(c.germ, c.nu, c.alpha) for c in mc_case_set(count=40, seed=1)]
+    cases += [(Germ((2, 3, 4)), (1, 2, 1), F(1, 3)), (Germ((2, 2, 3, 3)), (1, 0, 2, 1), F(1, 3))]
+    for config in (MonteCarloConfig(samples=50), MonteCarloConfig(shells=2)):
+        for germ, nu, alpha in cases:
+            got = monte_carlo_integrable(germ, nu, alpha, config)
+            estimates, ratio = bf_mc_estimates(germ, nu, alpha, config)
+            assert [s["estimate"] for s in got["shells"]] == estimates, (germ, nu, alpha)
+            assert got["ratio"] == ratio, (germ, nu, alpha)
 
 
 def test_mc_case_set_deterministic_and_gapped():

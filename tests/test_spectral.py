@@ -54,6 +54,16 @@ def test_hand_built_tables_equal_engine_tables():
     assert (table.denom, table.keys.tolist(), table.counts.tolist()) == (1, [0], [1])
 
 
+def test_value_strings_print_as_fractions():
+    tables = [spectrum_of(Germ(ms)) for ms in [(2,), (2, 3), (3, 3, 3), (2, 2, 4, 6)]]
+    tables += [fold_spectrum(t) for t in tables]  # keys at 0 and below
+    tables += [EigenTable(()), Spectrum(3, [(2, 1), (F(4, 6), 2)])]
+    for table in tables:
+        want = [str(v) for v, _ in table.entries]
+        assert table.value_strings() == want
+        assert [e[table._name] for e in table.to_json()["entries"]] == want
+
+
 def test_hand_built_tables_are_sorted_multisets():
     table = EigenTable([(F(-1, 4), 1), (F(-3, 4), 2), (F(-1, 4), 3)])
     assert table.entries == ((F(-3, 4), 2), (F(-1, 4), 4))
