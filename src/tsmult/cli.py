@@ -14,38 +14,21 @@ import json
 import os
 import string
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, NamedTuple, Sequence, Union
+from typing import Callable, NamedTuple, Sequence
 
 from .convolution import irrationality_module, ts_convolve_chains
 from .errors import GermParseError, OracleMismatch, TsmultError
 from .filtration import graded_at, jumpset_of, periodic_extend, usual_jumpset
-from .germs import (Germ, diagonal_microlocal_chain, diagonal_usual_chain,
-                    lct, one_var_microlocal_chain)
-from .monomial import MonomialIdeal, QuotientBasis
+from .germs import (DEFAULT_WINDOW, Germ, diagonal_microlocal_chain,
+                    diagonal_usual_chain, lct, one_var_microlocal_chain)
+from .monomial import QuotientBasis
 from .oracles import (MonteCarloConfig, mc_case_set, monte_carlo_integrable,
                       summation_path)
 from .spectral import EigenTable, Spectrum, _eigentable_of, consistency_check, spectrum_of
 
 _IDENT_START = frozenset(string.ascii_letters + "_")
 _IDENT_CONT = _IDENT_START | frozenset(string.digits)
-
-
-@dataclass(frozen=True)
-class Var:
-    name: str
-    exponent: int
-    coefficient: Fraction = Fraction(1)
-
-
-@dataclass(frozen=True)
-class TSSum:
-    left: "GermExpr"
-    right: "GermExpr"
-
-
-GermExpr = Union[Var, TSSum]
 
 
 class _Token(NamedTuple):
@@ -113,7 +96,7 @@ class _Parser:
             raise GermParseError(f"expected {what}", tok.pos)
         return self.advance()
 
-    def term(self) -> Var:
+    def term(self) -> tuple[str, int, Fraction]:
         coeff = Fraction(1)
         tok = self.peek()
         if tok.kind == "number":
@@ -142,52 +125,23 @@ class _Parser:
         if exponent < 2:
             raise GermParseError(f"exponent must be at least 2, got {exponent}",
                                  exp_tok.pos)
-        return Var(name_tok.text, exponent, coeff)
+        return name_tok.text, exponent, coeff
 
-    def expr(self) -> GermExpr:
-        node: GermExpr = self.term()
+    def germ(self) -> Germ:
+        terms = [self.term()]
         while self.peek().kind == "plus":
             self.advance()
-            node = TSSum(node, self.term())
+            terms.append(self.term())
         tok = self.peek()
         if tok.kind != "end":
             raise GermParseError(f"unexpected {tok.text!r}", tok.pos)
-        return node
+        names, exponents, coeffs = zip(*terms)
+        return Germ(exponents, names, coeffs)
 
 
-def parse(text: str) -> GermExpr:
-    return _Parser(text).expr()
-
-
-def expr_vars(expr: GermExpr) -> list[Var]:
-    if isinstance(expr, Var):
-        return [expr]
-    return expr_vars(expr.left) + expr_vars(expr.right)
-
-
-def format_expr(expr: GermExpr) -> str:
-    parts = []
-    for v in expr_vars(expr):
-        prefix = "" if v.coefficient == 1 else f"{v.coefficient}*"
-        parts.append(f"{prefix}{v.name}^{v.exponent}")
-    return " + ".join(parts)
-
-
-def to_germ(expr: GermExpr) -> Germ:
-    vs = expr_vars(expr)
-    return Germ(tuple(v.exponent for v in vs),
-                tuple(v.name for v in vs),
-                tuple(v.coefficient for v in vs))
-
-
-@dataclass
-class Config:
-    window: Fraction = Fraction(2)
-    mc_seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.window <= 0:
-            raise TsmultError("window must be positive")
+def parse(text: str) -> Germ:
+    """The germ a text names, its terms in the order written."""
+    return _Parser(text).germ()
 
 
 def _rat(text: str) -> Fraction:
@@ -197,10 +151,15 @@ def _rat(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a rational: {text!r}") from exc
 
 
-def _default_window() -> Fraction:
+def _window(args: argparse.Namespace) -> Fraction:
+    """The positive window of --window, else of TSMULT_WINDOW, else the default."""
+    if args.window is not None:
+        if args.window <= 0:
+            raise TsmultError("window must be positive")
+        return args.window
     raw = os.environ.get("TSMULT_WINDOW")
     if raw is None:
-        return Fraction(2)
+        return DEFAULT_WINDOW
     try:
         window = Fraction(raw)
     except (ValueError, ZeroDivisionError) as exc:
@@ -210,96 +169,69 @@ def _default_window() -> Fraction:
     return window
 
 
-def _config(args: argparse.Namespace) -> Config:
-    window = getattr(args, "window", None)
-    if window is None:
-        window = _default_window()
-    seed = getattr(args, "seed", None)
-    return Config(window=window,
-                  mc_seed=0 if seed is None else seed)
+# A command returns its exit code and the lines it prints; a JSON document
+# is one line.  main writes them.
+Output = tuple[int, list[str]]
 
 
-def _emit(args: argparse.Namespace, payload: dict, lines: Sequence[str]) -> None:
-    if args.json:
-        print(json.dumps(payload, indent=2))
-    else:
-        for line in lines:
-            print(line)
+def _json(payload: dict) -> list[str]:
+    return [json.dumps(payload, indent=2)]
 
 
-def _gens_text(ideal: MonomialIdeal) -> str:
-    ordered = sorted(ideal.gens, reverse=True)
-    return json.dumps([list(g) for g in ordered], separators=(",", ":"))
-
-
-def _emit_basis(args: argparse.Namespace, basis: QuotientBasis, **head: str) -> None:
+def _basis(args: argparse.Namespace, basis: QuotientBasis, **head: str) -> Output:
     exps = [list(e) for e in sorted(basis.exponents, reverse=True)]
+    if args.json:
+        return 0, _json({**head, "dim": basis.dim, "exponents": exps})
     lines = [f"dim {basis.dim}"]
     if exps:
         lines.append(f"exps {json.dumps(exps, separators=(',', ':'))}")
-    _emit(args, {**head, "dim": basis.dim, "exponents": exps}, lines)
+    return 0, lines
 
 
-def cmd_lct(args: argparse.Namespace) -> int:
-    germ = to_germ(parse(args.germ))
-    value = lct(germ)
-    _emit(args, {"lct": str(value)}, [str(value)])
-    return 0
-
-
-def cmd_jc(args: argparse.Namespace) -> int:
-    cfg = _config(args)
-    germ = to_germ(parse(args.germ))
-    micro = jumpset_of(diagonal_microlocal_chain(germ, window=Fraction(1)))
-    jumps = usual_jumpset(micro, cfg.window)
-    _emit(args, jumps.to_json(), [str(v) for v in jumps.values])
-    return 0
-
-
-def cmd_ideal(args: argparse.Namespace) -> int:
-    germ = to_germ(parse(args.germ))
-    scaled = periodic_extend(diagonal_usual_chain(germ), args.alpha)
-    text = _gens_text(scaled.ideal)
-    if scaled.power:
-        lines = [f"power {scaled.power} gens {text}"]
-    else:
-        lines = [f"gens {text}"]
-    _emit(args, scaled.to_json(), lines)
-    return 0
-
-
-def cmd_graded(args: argparse.Namespace) -> int:
-    cfg = _config(args)
-    germ = to_germ(parse(args.germ))
-    chain = diagonal_microlocal_chain(germ, window=cfg.window)
-    _emit_basis(args, graded_at(chain, args.alpha), alpha=str(args.alpha))
-    return 0
-
-
-def _emit_table(args: argparse.Namespace, table: Spectrum | EigenTable) -> None:
-    """Print a spectrum or eigentable as JSON or as one "value mult" line per entry,
-    building only the output that is printed."""
+def _table(args: argparse.Namespace, table: Spectrum | EigenTable) -> Output:
+    """A spectrum or eigentable as JSON or as one "value mult" line per entry."""
     if args.json:
-        print(json.dumps(table.to_json(), indent=2))
-    else:
-        for v, m in zip(table.value_strings(), table.counts.tolist()):
-            print(f"{v} {m}")
+        return 0, _json(table.to_json())
+    return 0, [f"{v} {m}" for v, m in zip(table.value_strings(), table.counts.tolist())]
 
 
-def cmd_spectrum(args: argparse.Namespace) -> int:
-    _emit_table(args, spectrum_of(to_germ(parse(args.germ))))
-    return 0
+def cmd_lct(args: argparse.Namespace) -> Output:
+    value = str(lct(parse(args.germ)))
+    return 0, _json({"lct": value}) if args.json else [value]
 
 
-def cmd_eigen(args: argparse.Namespace) -> int:
-    _emit_table(args, _eigentable_of(to_germ(parse(args.germ)).exponents))
-    return 0
+def cmd_jc(args: argparse.Namespace) -> Output:
+    window = _window(args)
+    micro = jumpset_of(diagonal_microlocal_chain(parse(args.germ), window=Fraction(1)))
+    jumps = usual_jumpset(micro, window)
+    return 0, _json(jumps.to_json()) if args.json else [str(v) for v in jumps.values]
 
 
-def cmd_irrationality(args: argparse.Namespace) -> int:
-    germ = to_germ(parse(args.germ))
-    _emit_basis(args, irrationality_module(germ))
-    return 0
+def cmd_ideal(args: argparse.Namespace) -> Output:
+    scaled = periodic_extend(diagonal_usual_chain(parse(args.germ)), args.alpha)
+    if args.json:
+        return 0, _json(scaled.to_json())
+    power = f"power {scaled.power} " if scaled.power else ""
+    gens = [list(g) for g in sorted(scaled.ideal.gens, reverse=True)]
+    return 0, [f"{power}gens {json.dumps(gens, separators=(',', ':'))}"]
+
+
+def cmd_graded(args: argparse.Namespace) -> Output:
+    window = _window(args)
+    chain = diagonal_microlocal_chain(parse(args.germ), window=window)
+    return _basis(args, graded_at(chain, args.alpha), alpha=str(args.alpha))
+
+
+def cmd_spectrum(args: argparse.Namespace) -> Output:
+    return _table(args, spectrum_of(parse(args.germ)))
+
+
+def cmd_eigen(args: argparse.Namespace) -> Output:
+    return _table(args, _eigentable_of(parse(args.germ).exponents))
+
+
+def cmd_irrationality(args: argparse.Namespace) -> Output:
+    return _basis(args, irrationality_module(parse(args.germ)))
 
 
 def _suite_summation() -> list[dict]:
@@ -323,7 +255,7 @@ def _suite_convolution() -> list[dict]:
     cases = []
     for m1 in range(2, 7):
         for m2 in range(2, 7):
-            direct = diagonal_microlocal_chain(Germ((m1, m2)), window=Fraction(2))
+            direct = diagonal_microlocal_chain(Germ((m1, m2)))
             convolved = ts_convolve_chains(one_var_microlocal_chain(m1),
                                            one_var_microlocal_chain(m2))
             ok = convolved == direct
@@ -352,54 +284,49 @@ def _suite_spectral() -> list[dict]:
     return cases
 
 
-def _suite_montecarlo(cfg: Config, count: int = 40) -> tuple[list[dict], float]:
-    mc_config = MonteCarloConfig(seed=cfg.mc_seed)
+def _suite_montecarlo(seed: int, count: int = 40) -> tuple[list[dict], bool, dict]:
+    mc_config = MonteCarloConfig(seed=seed)
     cases = []
-    agree = 0
-    for case in mc_case_set(count=count, seed=cfg.mc_seed + 1):
+    for case in mc_case_set(count=count, seed=seed + 1):
         evidence = monte_carlo_integrable(case.germ, case.nu, case.alpha, mc_config)
         want = "Integrable" if case.exact_integrable else "Divergent"
-        ok = evidence["verdict"] == want
-        agree += ok
-        record = {
+        cases.append({
             "case": (f"montecarlo {list(case.germ.exponents)} nu {list(case.nu)} "
                      f"alpha {case.alpha}"),
-            "ok": ok,
+            "ok": evidence["verdict"] == want,
             "verdict": evidence["verdict"],
             "expected": want,
             "ratio": evidence["ratio"],
-        }
-        cases.append(record)
-    return cases, agree / len(cases) if cases else 1.0
+        })
+    rate = sum(c["ok"] for c in cases) / len(cases) if cases else 1.0
+    return cases, rate >= 0.95, {"agreement": rate}
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
-    cfg = _config(args)
-    names = ["summation", "convolution", "spectral", "montecarlo"]
-    wanted = names if args.suite == "all" else [args.suite]
+def _every_case(cases: list[dict]) -> tuple[list[dict], bool, dict]:
+    return cases, all(c["ok"] for c in cases), {}
+
+
+# name -> runner(seed): the cases, whether the suite passed, and extra report fields
+_SUITES: dict[str, Callable[[int], tuple[list[dict], bool, dict]]] = {
+    "summation": lambda seed: _every_case(_suite_summation()),
+    "convolution": lambda seed: _every_case(_suite_convolution()),
+    "spectral": lambda seed: _every_case(_suite_spectral()),
+    "montecarlo": _suite_montecarlo,
+}
+
+
+def cmd_verify(args: argparse.Namespace) -> Output:
+    wanted = list(_SUITES) if args.suite == "all" else [args.suite]
     suites = []
-    all_ok = True
     for name in wanted:
-        if name == "summation":
-            cases = _suite_summation()
-            ok = all(c["ok"] for c in cases)
-        elif name == "convolution":
-            cases = _suite_convolution()
-            ok = all(c["ok"] for c in cases)
-        elif name == "spectral":
-            cases = _suite_spectral()
-            ok = all(c["ok"] for c in cases)
-        else:
-            cases, rate = _suite_montecarlo(cfg)
-            ok = rate >= 0.95
-        passed = sum(c["ok"] for c in cases)
-        entry = {"suite": name, "total": len(cases), "passed": passed, "ok": ok}
-        if name == "montecarlo":
-            entry["agreement"] = rate
-        entry["cases"] = cases
-        suites.append(entry)
-        all_ok = all_ok and ok
-    payload = {"ok": all_ok, "suites": suites}
+        cases, ok, extra = _SUITES[name](args.seed)
+        suites.append({"suite": name, "total": len(cases),
+                       "passed": sum(c["ok"] for c in cases), "ok": ok,
+                       **extra, "cases": cases})
+    all_ok = all(entry["ok"] for entry in suites)
+    code = 0 if all_ok else 3
+    if args.json:
+        return code, _json({"ok": all_ok, "suites": suites})
     lines = []
     for entry in suites:
         for case in entry["cases"]:
@@ -410,11 +337,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
         if "agreement" in entry:
             summary += f", agreement {entry['agreement']:.3f}"
         lines.append(summary)
-    _emit(args, payload, lines)
-    return 0 if all_ok else 3
+    return code, lines
 
 
-def _add_germ_command(sub, name: str, func: Callable[[argparse.Namespace], int],
+def _add_germ_command(sub, name: str, func: Callable[[argparse.Namespace], Output],
                       help_text: str, alpha: bool = False,
                       window: bool = False) -> None:
     p = sub.add_parser(name, help=help_text)
@@ -423,7 +349,7 @@ def _add_germ_command(sub, name: str, func: Callable[[argparse.Namespace], int],
                        help="rational exponent, e.g. 5/6")
     if window:
         p.add_argument("--window", type=_rat, default=None,
-                       help="computation window (default 2, env TSMULT_WINDOW)")
+                       help=f"computation window (default {DEFAULT_WINDOW}, env TSMULT_WINDOW)")
     p.add_argument("--json", action="store_true", help="emit JSON")
     p.add_argument("germ", help='germ expression, e.g. "z1^2 + z2^3"')
     p.set_defaults(func=func)
@@ -448,20 +374,39 @@ def build_parser() -> argparse.ArgumentParser:
     _add_germ_command(sub, "irrationality", cmd_irrationality,
                       "irrationality module (needs at least two variables)")
     v = sub.add_parser("verify", help="run cross-oracle verification suites")
-    v.add_argument("--suite", default="all",
-                   choices=["summation", "convolution", "spectral",
-                            "montecarlo", "all"])
-    v.add_argument("--seed", type=int, default=None, help="Monte Carlo seed")
+    v.add_argument("--suite", default="all", choices=[*_SUITES, "all"])
+    v.add_argument("--seed", type=int, default=0, help="Monte Carlo seed")
     v.add_argument("--json", action="store_true", help="emit JSON")
     v.set_defaults(func=cmd_verify)
     return parser
+
+
+def _write(lines: list[str]) -> None:
+    """Write the lines to stdout in one piece; no lines write nothing.
+
+    The bytes go to the binary layer until all are taken: an unbuffered
+    stdout (python -u) may take part of a write to a pipe whose reader has
+    gone and say so only in the count it returns, not by BrokenPipeError.
+    """
+    if not lines:
+        return
+    text = "\n".join(lines) + "\n"
+    binary = getattr(sys.stdout, "buffer", None)
+    if binary is None:  # a text-only stream, such as io.StringIO
+        sys.stdout.write(text)
+        return
+    sys.stdout.flush()
+    data = memoryview(text.encode(sys.stdout.encoding))
+    while data:
+        data = data[binary.write(data):]
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        code = args.func(args)
+        code, lines = args.func(args)
+        _write(lines)
         sys.stdout.flush()  # a closed reader shows up here, not at interpreter exit
         return code
     except BrokenPipeError:

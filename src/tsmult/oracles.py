@@ -56,7 +56,11 @@ def fm_feasible(constraints: Sequence[Constraint], nvars: int) -> bool:
     Each row is scaled to integers by the lcm of its denominators, and each
     combined row is divided by the gcd of its entries; a positive factor
     keeps both <= and <, so the elimination runs on Python ints throughout.
+    Every row needs exactly nvars coefficients; the rows left when no
+    variable remains are constants, 0 <= rhs or 0 < rhs, checked at the end.
     """
+    if any(len(c.coeffs) != nvars for c in constraints):
+        raise ValueError(f"every constraint needs {nvars} coefficients")
     work = []
     for c in constraints:
         row = (*c.coeffs, c.rhs)
@@ -90,7 +94,7 @@ def fm_feasible(constraints: Sequence[Constraint], nvars: int) -> bool:
             elif row[-1] < 0 or (strict and row[-1] == 0):
                 return False
         work = pruned
-    return True
+    return all(rhs > 0 or (rhs == 0 and not strict) for (*_, rhs), strict in work)
 
 
 def _canonical(dim: int, denom: int, cap: Fraction, exps: np.ndarray,

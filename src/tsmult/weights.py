@@ -24,10 +24,9 @@ import numpy as np
 from .errors import ResourceLimit, WindowExceeded
 from .monomial import MonomialIdeal
 
-# drop value of the zero exponent, which has no decrements; kept far below
-# any rescaled finite value but safely away from int64 overflow
+# drop value of the zero exponent, which has no decrements; below every
+# finite drop, and never shifted by a weight (see _shifted)
 NO_DROP = -(1 << 60)
-_SENTINEL_CUT = -(1 << 59)
 
 # largest table, in bytes, a model build may allocate; larger inputs are
 # refused with ResourceLimit before anything is allocated
@@ -59,9 +58,30 @@ def _admit(nbytes: int, what: str) -> None:
                             f"is above the {MAX_TABLE_BYTES}-byte table limit")
 
 
+def _admit_int64(top: int, what: str, *args) -> None:
+    """Refuse a table whose int64 values would reach top; what.format(*args)
+    names it, formatted only on refusal."""
+    if top >= 1 << 63:
+        raise ResourceLimit(f"{what.format(*args)}: values up to {top} "
+                            "overflow 64-bit integers")
+
+
+def _shifted(drop: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """drop + w, with NO_DROP kept as it is."""
+    out = drop + w
+    out[drop == NO_DROP] = NO_DROP
+    return out
+
+
 def _cut(cap: Fraction, denom: int) -> int:
     """Integer c with w < c exactly when w / denom < cap, for integers w."""
     return -((-cap.numerator * denom) // cap.denominator)
+
+
+def _top(model: WeightModel) -> int:
+    """Bound on the model's weight numerators, read without a pass over them:
+    every atom but the zero exponent, row 0, weighs less than the cap."""
+    return max(int(model.weight[0]), _cut(model.cap, model.denom) - 1)
 
 
 def _one_var_scaled(m: int, cap: Fraction, denom: int, usual: bool) -> np.ndarray:
@@ -99,15 +119,19 @@ def diagonal_model(ms: Sequence[int], cap: Fraction, usual: bool = False) -> Wei
     intermediate table is larger than the result and the work is
     O(d · atoms), where enumerating the box ∏ len(t_j) was O(box).  The
     atom count of each column is known before its rows are allocated, and
-    a table above MAX_TABLE_BYTES is refused with ResourceLimit.
+    a table above MAX_TABLE_BYTES is refused with ResourceLimit.  So is
+    a model whose cut, cap * lcm(m), or whose zero exponent's weight does
+    not fit in int64: every other weight and drop is below the cut.
     """
     ms = tuple(int(m) for m in ms)
     if any(m < 2 for m in ms):
         raise ValueError("diagonal model needs all exponents >= 2")
     dim = len(ms)
     denom = lcm(*ms)
-    tables = [_one_var_scaled(m, cap, denom, usual) for m in ms]
     bound = _cut(cap, denom)
+    _admit_int64(max(bound, sum(denom // m for m in ms)),
+                 "weight model of {} below {}", ms, cap)
+    tables = [_one_var_scaled(m, cap, denom, usual) for m in ms]
     rest = sum(int(t[0]) for t in tables)
     weight = np.zeros(1, dtype=np.int64)
     drop = np.full(1, NO_DROP, dtype=np.int64)
@@ -122,7 +146,7 @@ def diagonal_model(ms: Sequence[int], cap: Fraction, usual: bool = False) -> Wei
         k = np.arange(n) - np.repeat(np.cumsum(counts) - counts, counts)
         base = weight[parent]
         down = np.where(k > 0, base + t[np.maximum(k - 1, 0)], NO_DROP)
-        drop = np.maximum(drop[parent] + t[k], down)
+        drop = np.maximum(_shifted(drop[parent], t[k]), down)
         weight = base + t[k]
         links.append((parent, k))
     # read each final row's exponents back through its chain of parents
@@ -132,7 +156,6 @@ def diagonal_model(ms: Sequence[int], cap: Fraction, usual: bool = False) -> Wei
         parent, k = links[j]
         exps[:, j] = k[row]
         row = parent[row]
-    drop = np.where(drop < _SENTINEL_CUT, NO_DROP, drop)
     return WeightModel(dim, denom, cap, exps, weight, drop)
 
 
@@ -142,6 +165,7 @@ def rescaled(model: WeightModel, new_denom: int) -> WeightModel:
     if new_denom % model.denom:
         raise ValueError("new denominator must be a multiple of the old one")
     r = new_denom // model.denom
+    _admit_int64(_top(model) * r, "weight model rescaled to denominator {}", new_denom)
     drop = np.where(model.drop == NO_DROP, NO_DROP, model.drop * r)
     return WeightModel(model.dim, new_denom, model.cap, model.exps,
                        model.weight * r, drop)
@@ -159,14 +183,15 @@ def convolve(a: WeightModel, b: WeightModel, cap: Fraction | None = None) -> Wei
     denom = lcm(a.denom, b.denom)
     a = rescaled(a, denom)
     b = rescaled(b, denom)
+    _admit_int64(_top(a) + _top(b), "pair weights of {} x {} atoms",
+                 len(a.weight), len(b.weight))
     mask = a.weight[:, None] + b.weight[None, :] < _cut(cap_out, denom)
     mask[0, 0] = True  # the zero exponent, first in lex order
     # row-major pairs of two lex-sorted tables are already lex-sorted
     ia, ib = np.nonzero(mask)
     exps = np.hstack([a.exps[ia], b.exps[ib]])
     weight = a.weight[ia] + b.weight[ib]
-    drop = np.maximum(a.drop[ia] + b.weight[ib], a.weight[ia] + b.drop[ib])
-    drop = np.where(drop < _SENTINEL_CUT, NO_DROP, drop)
+    drop = np.maximum(_shifted(a.drop[ia], b.weight[ib]), _shifted(b.drop[ib], a.weight[ia]))
     return WeightModel(a.dim + b.dim, denom, cap_out, exps, weight, drop)
 
 
@@ -180,8 +205,10 @@ def _scaled_threshold(model: WeightModel, alpha: Fraction, strict: bool) -> int:
 
 
 def _near_cap(model: WeightModel, t: int | np.ndarray) -> bool | np.ndarray:
-    """Scaled thresholds t within 1 of the cap, where generators may be missing."""
-    return (t + model.denom) * model.cap.denominator > model.cap.numerator * model.denom
+    """Scaled thresholds t within 1 of the cap, where generators may be missing:
+    (t + denom) / denom > cap, for integers t."""
+    cap = model.cap
+    return t + model.denom > cap.numerator * model.denom // cap.denominator
 
 
 def generators_at(model: WeightModel, alpha: Fraction, strict: bool) -> MonomialIdeal:
@@ -278,7 +305,7 @@ def _levels_below(model: WeightModel, hi: Fraction) -> np.ndarray:
     if hi > model.cap:
         raise WindowExceeded(f"window {hi} exceeds the model cap {model.cap}")
     vals = np.unique(model.weight)
-    return vals[(vals > 0) & (vals * hi.denominator < hi.numerator * model.denom)]
+    return vals[(vals > 0) & (vals < _cut(hi, model.denom))]
 
 
 def models_equal(a: WeightModel, b: WeightModel) -> bool:

@@ -187,7 +187,7 @@ def bf_fm_feasible(constraints, nvars: int) -> bool:
             elif c.rhs < 0 or (c.strict and c.rhs == 0):
                 return False
         work = pruned
-    return True
+    return all(c.rhs > 0 or (c.rhs == 0 and not c.strict) for c in work)
 
 
 def bf_mc_estimates(germ, nu: Sequence[int], alpha: Fraction,

@@ -1,7 +1,11 @@
+import contextlib
 import hashlib
+import io
 import json
 import os
+import re
 import resource
+import shlex
 import subprocess
 import sys
 from fractions import Fraction as F
@@ -10,10 +14,13 @@ from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import tsmult
-from tsmult.cli import (Config, TSSum, Var, format_expr, main, parse, to_germ)
-from tsmult.errors import GermParseError, TsmultError
+from tsmult.cli import main, parse
+from tsmult.errors import GermParseError
+from tsmult.germs import Germ
 
 
 def _schema(name):
@@ -34,18 +41,24 @@ def _run(capsys, argv):
 # ---- parser ----
 
 def test_parse_pair():
-    expr = parse("z1^2 + z2^3")
-    assert expr == TSSum(Var("z1", 2), Var("z2", 3))
+    assert parse("z1^2 + z2^3") == Germ((2, 3), ("z1", "z2"))
 
 
-def test_parse_left_assoc():
-    expr = parse("x^3+y^3+z^3")
-    assert expr == TSSum(TSSum(Var("x", 3), Var("y", 3)), Var("z", 3))
+def test_parse_keeps_term_order():
+    assert parse("x^3+y^4+z^5") == Germ((3, 4, 5), ("x", "y", "z"))
+    assert parse("z^5+x^3") == Germ((5, 3), ("z", "x"))
 
 
 def test_parse_ts_operator_and_coefficients():
-    expr = parse("2*z1^2 (+) 1/3*z2^3")
-    assert expr == TSSum(Var("z1", 2, F(2)), Var("z2", 3, F(1, 3)))
+    germ = parse("2*z1^2 (+) 1/3*z2^3")
+    assert germ == Germ((2, 3), ("z1", "z2"), (F(2), F(1, 3)))
+
+
+def test_to_germ():
+    germ = parse("2*z1^2 + z2^3")
+    assert germ.exponents == (2, 3)
+    assert germ.var_names == ("z1", "z2")
+    assert germ.coefficients == (F(2), F(1))
 
 
 def test_parse_errors_with_position():
@@ -70,21 +83,9 @@ def test_parse_errors_with_position():
 
 def test_round_trip():
     for text in ["z1^2 + z2^3", "x^3 + y^3 + z^3", "2*a^2 + 1/3*b^5"]:
-        expr = parse(text)
-        assert format_expr(expr) == text
-        assert parse(format_expr(expr)) == expr
-
-
-def test_to_germ():
-    germ = to_germ(parse("2*z1^2 + z2^3"))
-    assert germ.exponents == (2, 3)
-    assert germ.var_names == ("z1", "z2")
-    assert germ.coefficients == (F(2), F(1))
-
-
-def test_config_validation():
-    with pytest.raises(TsmultError):
-        Config(window=F(0))
+        germ = parse(text)
+        assert str(germ) == text
+        assert parse(str(germ)) == germ
 
 
 # ---- commands ----
@@ -214,6 +215,77 @@ def test_exit_code_oversized_input_refused(capsys, argv, size):
     assert "Traceback" not in err and "GiB" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["jc", "a^1291+b^1297+c^1301+d^1303+e^1307+f^1319"],
+    ["irrationality", "a^1291+b^1297+c^1301+d^1303+e^1307+f^1319"],
+    ["graded", "--alpha", "1/2", "a^1291+b^1297+c^1301+d^1303+e^1307+f^1319"],
+    ["ideal", "--alpha", "1/2", "a^1291+b^1297+c^1301+d^1303+e^1307+f^1319"],
+])
+def test_exit_code_int64_overflow_refused(capsys, monkeypatch, argv):
+    monkeypatch.delenv("TSMULT_WINDOW", raising=False)
+    code, out, err = _run(capsys, argv)
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and err.startswith("error: weight model of (1291, ")
+    assert err.endswith("overflow 64-bit integers\n")
+
+
+# flags each germ command takes besides --json
+_GERM_COMMANDS = {"lct": (), "jc": ("window",), "ideal": ("alpha",),
+                  "graded": ("alpha", "window"), "spectrum": (), "eigen": (),
+                  "irrationality": ()}
+# no digits, so an exponent stays in 2..12
+_STRAY = (" ", "\t", "@", "(", ")", "-", ".", "^", "*", "/", "+", "(+)", "x", "é")
+
+
+@st.composite
+def _germ_texts(draw):
+    """Up to four terms of the grammar; one draw in two is spoiled by a
+    repeated name, a bad coefficient or stray tokens and characters."""
+    names = draw(st.lists(st.sampled_from(["x", "y", "z", "w", "z1", "_a"]),
+                          min_size=1, max_size=4, unique=True))
+    coeffs = [draw(st.sampled_from(["", "2*", "1/3*"])) for _ in names]
+    spoil = draw(st.integers(0, 5))
+    if spoil == 3:
+        names[-1] = names[0]
+    if spoil == 4:
+        coeffs[-1] = draw(st.sampled_from(["0*", "3/0*", "2/*", "2"]))
+    text = ""
+    for j, (coeff, name) in enumerate(zip(coeffs, names)):
+        if j:
+            text += draw(st.sampled_from(["+", " + ", "(+)", " (+) "]))
+        text += f"{coeff}{name}^{draw(st.integers(2, 12))}"
+    for _ in range(draw(st.integers(1, 2)) if spoil == 5 else 0):
+        at = draw(st.integers(0, len(text)))
+        text = text[:at] + draw(st.sampled_from(_STRAY)) + text[at:]
+    return text
+
+
+_small_rationals = st.sampled_from([F(-1), F(-1, 2), F(0), F(1, 6), F(1, 2), F(5, 6), F(1),
+                                    F(7, 6), F(3, 2), F(2), F(5, 2), F(3)])
+
+
+@settings(max_examples=200, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(command=st.sampled_from(sorted(_GERM_COMMANDS)), text=_germ_texts(),
+       alpha=_small_rationals, window=_small_rationals, as_json=st.booleans())
+def test_germ_grammar_contract(capsys, monkeypatch, command, text, alpha, window,
+                               as_json):
+    # every germ command ends in exit 0 with nothing on stderr, or in exit 2
+    # with one `error: ` line, never in a traceback
+    monkeypatch.delenv("TSMULT_WINDOW", raising=False)
+    flags = _GERM_COMMANDS[command]
+    argv = [command, *([f"--alpha={alpha}"] if "alpha" in flags else []),
+            *([f"--window={window}"] if "window" in flags else []),
+            *(["--json"] if as_json else []), "--", text]
+    code, _, err = _run(capsys, argv)
+    assert code in (0, 2), (argv, err)
+    if code == 0:
+        assert err == "", argv
+    else:
+        assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+        assert "Traceback" not in err
+
+
 def test_cli_matches_recorded_digests(capsys, monkeypatch):
     # exit codes and stdout digests recorded for the benchmark's CLI catalogue
     monkeypatch.delenv("TSMULT_WINDOW", raising=False)
@@ -228,6 +300,39 @@ def test_cli_matches_recorded_digests(capsys, monkeypatch):
         out = capsys.readouterr().out.encode()
         assert code == want["exit"], key
         assert hashlib.sha256(out).hexdigest() == want["stdout_sha256"], key
+
+
+def _readme_examples():
+    """(argv, expected lines) of every `$ tsmult ...` line in the README's
+    fenced blocks; the expected lines run to the next `$` line or the end
+    of the block."""
+    examples, block = [], None
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    for line in readme.read_text().splitlines():
+        if line.startswith("```"):
+            block = [] if block is None else None
+        elif block is not None and line.startswith("$ tsmult "):
+            block = []
+            examples.append((shlex.split(line)[2:], block))
+        elif block is not None:
+            block.append(line)
+    return [pytest.param(argv, "\n".join(lines).rstrip("\n"), id=" ".join(argv))
+            for argv, lines in examples]
+
+
+@pytest.mark.parametrize("argv, expected", _readme_examples())
+def test_readme_examples(capsys, monkeypatch, argv, expected):
+    # stdout matches the lines under the command, a `...` line standing for
+    # any lines; a refusal's `error:` line is compared with stderr
+    monkeypatch.delenv("TSMULT_WINDOW", raising=False)
+    code, out, err = _run(capsys, argv)
+    if expected.startswith("error: "):
+        assert (code, out, err) == (2, "", expected + "\n")
+        return
+    pattern = "".join("(?:.*\n)*" if line == "..." else re.escape(line) + "\n"
+                      for line in expected.split("\n"))
+    assert (code, err) == (0, "")
+    assert re.fullmatch(pattern, out), out
 
 
 def _child_env():
@@ -279,6 +384,43 @@ def test_cli_flag_beats_env(capsys, monkeypatch):
     code, out, _ = _run(capsys, ["jc", "--window", "1", "z1^2 + z2^3"])
     assert code == 0
     assert out.split() == ["5/6"]
+
+
+@pytest.mark.parametrize("argv, env, message", [
+    (["jc", "--window", "0", "x^2+y^3"], None, "window must be positive"),
+    (["jc", "--window", "-1", "x^2+y^3"], None, "window must be positive"),
+    (["graded", "--window", "0", "--alpha", "1/2", "x^2+y^3"], "3",
+     "window must be positive"),
+    (["jc", "x^2+y^3"], "0", "bad TSMULT_WINDOW value '0'"),
+    (["graded", "--alpha", "1/2", "x^2+y^3"], "junk", "bad TSMULT_WINDOW value 'junk'"),
+], ids=["jc --window 0", "jc --window -1", "graded --window 0 beats env",
+        "jc env 0", "graded env junk"])
+def test_window_validation(capsys, monkeypatch, argv, env, message):
+    if env is None:
+        monkeypatch.delenv("TSMULT_WINDOW", raising=False)
+    else:
+        monkeypatch.setenv("TSMULT_WINDOW", env)
+    assert _run(capsys, argv) == (2, "", f"error: {message}\n")
+
+
+def test_window_env_only_read_by_windowed_commands(capsys, monkeypatch):
+    monkeypatch.setenv("TSMULT_WINDOW", "junk")
+    code, out, err = _run(capsys, ["verify", "--suite", "convolution"])
+    assert code == 0 and err == ""
+    assert "convolution: 25/25 passed" in out
+    assert _run(capsys, ["lct", "x^2+y^3"]) == (0, "5/6\n", "")
+
+
+def test_empty_output_writes_nothing(capsys, monkeypatch):
+    monkeypatch.delenv("TSMULT_WINDOW", raising=False)
+    assert _run(capsys, ["jc", "--window", "1/1000000", "x^2+y^3"]) == (0, "", "")
+
+
+def test_text_only_stdout():
+    # a stdout with no binary layer, such as io.StringIO, takes the text as is
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        assert main(["spectrum", "z1^2 + z2^3"]) == 0
+    assert out.getvalue() == "5/6 1\n7/6 1\n"
 
 
 # ---- verify ----

@@ -56,6 +56,16 @@ def test_fm_feasible_basics():
     assert not fm_feasible([Constraint((one, one), F(1), False),
                             Constraint((-one, F(0)), F(-1), False),
                             Constraint((F(0), -one), F(0), True)], 2)
+    # no variables: the rows are constants, 0 <= -1 is infeasible and 0 <= 0 is not
+    assert not fm_feasible([Constraint((), F(-1), False)], 0)
+    assert not fm_feasible([Constraint((), F(0), True)], 0)
+    assert fm_feasible([Constraint((), F(0), False)], 0)
+    # rows must have exactly nvars coefficients: 0*x + y <= -1 and 0*x - y <= -1
+    # is infeasible in two variables, and is not a system in one
+    rows = [Constraint((F(0), one), F(-1), False), Constraint((F(0), -one), F(-1), False)]
+    assert not fm_feasible(rows, 2)
+    with pytest.raises(ValueError, match="needs 1 coefficients"):
+        fm_feasible(rows, 1)
 
 
 rationals = st.one_of(st.integers(-3, 3),

@@ -6,6 +6,7 @@ import pytest
 
 from tsmult import weights
 from tsmult.errors import ResourceLimit, WindowExceeded
+from tsmult.germs import Germ, alpha_tilde
 from tsmult.monomial import MonomialIdeal
 from tsmult.oracles import _canonical, box_model
 from tsmult.weights import (_one_var_scaled, achieved_levels, convolve,
@@ -153,6 +154,38 @@ def test_table_byte_limit_refuses_before_building(monkeypatch):
         convolve(quintic, quintic)
     with pytest.raises(ResourceLimit, match=r"weight table of z\^1000 "):
         diagonal_model((1000,), cap=F(4))
+
+
+def test_int64_overflow_refused():
+    # cap * lcm(m) is about 1.5e19, past 2^63
+    with pytest.raises(ResourceLimit, match=r"weight model of \(1291, .* overflow 64-bit"):
+        diagonal_model((1291, 1297, 1301, 1303, 1307, 1319), cap=F(3))
+    half = diagonal_model((2,), cap=F(3))  # weights 1/2, 3/2, 5/2
+    with pytest.raises(ResourceLimit, match="overflow 64-bit integers"):
+        rescaled(half, 2 * 10**19)
+    wide = rescaled(half, 2 * 10**18)  # 5e18 fits; a pair weight of 1e19 does not
+    with pytest.raises(ResourceLimit, match=r"pair weights of 3 x 3 atoms: .* overflow"):
+        convolve(wide, wide)
+
+
+def test_no_drop_is_never_shifted():
+    # lcm(m) is about 7.7e17, so the zero exponent's weight is above 2^60,
+    # and NO_DROP plus that weight would pass for a finite drop above 1/10
+    ms = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 59)
+    cap = alpha_tilde(Germ(ms)) + F(1, 5)
+    model = diagonal_model(ms, cap=cap)
+    assert model.weight[0] > 1 << 60 and model.drop[0] == weights.NO_DROP
+    assert _gens(model, F(1, 10), False) == [(0,) * len(ms)]
+    joined = convolve(diagonal_model(ms[:-1], cap=cap), diagonal_model(ms[-1:], cap=cap))
+    assert models_equal(joined, model)
+
+
+def test_level_cuts_do_not_overflow():
+    # levels times a denominator of 10^18 would pass 2^63
+    hi = 1 + F(1, 10**18)
+    model = diagonal_model((2, 3), cap=hi + 2)
+    assert achieved_levels(model, hi) == (F(5, 6),)
+    assert [level for level, _ in weights._strict_steps(model, hi)] == [F(5, 6)]
 
 
 def test_convolve_cap_shrinks_to_smallest():
