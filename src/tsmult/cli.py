@@ -4,7 +4,12 @@ The expression grammar is `term (+ term)*` where a term is
 `[coeff *] name ^ exponent`; `(+)` is accepted as an explicit separated-sum
 operator with the same meaning as `+`.  Every `+` here is a sum across
 disjoint variables — the only sum the engine models — never addition
-inside one variable's ring.
+inside one variable's ring.  A name is an ASCII letter or `_`, then ASCII
+letters, digits or `_`; a number is a run of decimal digits (Unicode Nd,
+so `٣` reads as 3 while `²` is an unexpected character).
+
+Every rejected input, an argument argparse refuses included, ends in exit 2
+and one `error: ` line on stderr.
 """
 
 from __future__ import annotations
@@ -12,10 +17,10 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import string
+import re
 import sys
 from fractions import Fraction
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Sequence
 
 from .convolution import irrationality_module, ts_convolve_chains
 from .errors import GermParseError, OracleMismatch, TsmultError
@@ -27,121 +32,65 @@ from .oracles import (MonteCarloConfig, mc_case_set, monte_carlo_integrable,
                       summation_path)
 from .spectral import EigenTable, Spectrum, _eigentable_of, consistency_check, spectrum_of
 
-_IDENT_START = frozenset(string.ascii_letters + "_")
-_IDENT_CONT = _IDENT_START | frozenset(string.digits)
-
-
-class _Token(NamedTuple):
-    kind: str
-    text: str
-    pos: int
-
-
-def _tokenize(text: str) -> list[_Token]:
-    out: list[_Token] = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if text.startswith("(+)", i):
-            out.append(_Token("plus", "(+)", i))
-            i += 3
-            continue
-        if ch == "+":
-            out.append(_Token("plus", "+", i))
-            i += 1
-            continue
-        if ch in "^*/":
-            out.append(_Token(ch, ch, i))
-            i += 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            out.append(_Token("number", text[i:j], i))
-            i = j
-            continue
-        if ch in _IDENT_START:
-            j = i
-            while j < n and text[j] in _IDENT_CONT:
-                j += 1
-            out.append(_Token("ident", text[i:j], i))
-            i = j
-            continue
-        raise GermParseError(f"unexpected character {ch!r}", i)
-    out.append(_Token("end", "", n))
-    return out
-
-
-class _Parser:
-    def __init__(self, text: str):
-        self.tokens = _tokenize(text)
-        self.idx = 0
-        self.seen: dict[str, int] = {}
-
-    def peek(self) -> _Token:
-        return self.tokens[self.idx]
-
-    def advance(self) -> _Token:
-        tok = self.tokens[self.idx]
-        self.idx += 1
-        return tok
-
-    def expect(self, kind: str, what: str) -> _Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            raise GermParseError(f"expected {what}", tok.pos)
-        return self.advance()
-
-    def term(self) -> tuple[str, int, Fraction]:
-        coeff = Fraction(1)
-        tok = self.peek()
-        if tok.kind == "number":
-            num_tok = self.advance()
-            num = int(num_tok.text)
-            den = 1
-            if self.peek().kind == "/":
-                self.advance()
-                den = int(self.expect("number", "a denominator").text)
-                if den == 0:
-                    raise GermParseError("zero denominator", num_tok.pos)
-            coeff = Fraction(num, den)
-            if coeff == 0:
-                raise GermParseError("coefficient must be nonzero", num_tok.pos)
-            self.expect("*", "'*' after the coefficient")
-            tok = self.peek()
-        if tok.kind != "ident":
-            raise GermParseError("expected a variable name", tok.pos)
-        name_tok = self.advance()
-        if name_tok.text in self.seen:
-            raise GermParseError(f"repeated variable {name_tok.text!r}", name_tok.pos)
-        self.seen[name_tok.text] = name_tok.pos
-        self.expect("^", "'^' after the variable name")
-        exp_tok = self.expect("number", "an integer exponent")
-        exponent = int(exp_tok.text)
-        if exponent < 2:
-            raise GermParseError(f"exponent must be at least 2, got {exponent}",
-                                 exp_tok.pos)
-        return name_tok.text, exponent, coeff
-
-    def germ(self) -> Germ:
-        terms = [self.term()]
-        while self.peek().kind == "plus":
-            self.advance()
-            terms.append(self.term())
-        tok = self.peek()
-        if tok.kind != "end":
-            raise GermParseError(f"unexpected {tok.text!r}", tok.pos)
-        names, exponents, coeffs = zip(*terms)
-        return Germ(exponents, names, coeffs)
+# One named group per token kind; `\d` is a decimal digit (Unicode Nd), so
+# `int` reads every number, and a character no group matches is an error.
+_TOKEN = re.compile(r"(?P<space>\s+)|(?P<plus>\(\+\)|\+)|(?P<op>[\^*/])"
+                    r"|(?P<number>\d+)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)")
 
 
 def parse(text: str) -> Germ:
     """The germ a text names, its terms in the order written."""
-    return _Parser(text).germ()
+    tokens, i = [], 0  # (kind, text, position); an operator's kind is its text
+    while i < len(text):
+        match = _TOKEN.match(text, i)
+        if match is None:
+            raise GermParseError(f"unexpected character {text[i]!r}", i)
+        if match.lastgroup != "space":
+            kind = match[0] if match.lastgroup == "op" else match.lastgroup
+            tokens.append((kind, match[0], i))
+        i = match.end()
+    tokens.append(("end", "", len(text)))
+    at = 0
+
+    def expect(kind: str, what: str) -> tuple[str, int]:
+        nonlocal at
+        if tokens[at][0] != kind:
+            raise GermParseError(f"expected {what}", tokens[at][2])
+        at += 1
+        return tokens[at - 1][1:]
+
+    terms = {}  # name -> (exponent, coefficient), in the order written
+    while True:  # one term a pass: [coeff *] name ^ exponent, then `+` or the end
+        coeff = Fraction(1)
+        if tokens[at][0] == "number":
+            _, num, num_pos = tokens[at]
+            num, den = int(num), 1
+            at += 1
+            if tokens[at][0] == "/":
+                at += 1
+                den = int(expect("number", "a denominator")[0])
+                if den == 0:
+                    raise GermParseError("zero denominator", num_pos)
+            coeff = Fraction(num, den)
+            if coeff == 0:
+                raise GermParseError("coefficient must be nonzero", num_pos)
+            expect("*", "'*' after the coefficient")
+        name, pos = expect("name", "a variable name")
+        if name in terms:
+            raise GermParseError(f"repeated variable {name!r}", pos)
+        expect("^", "'^' after the variable name")
+        exponent, pos = expect("number", "an integer exponent")
+        exponent = int(exponent)
+        if exponent < 2:
+            raise GermParseError(f"exponent must be at least 2, got {exponent}", pos)
+        terms[name] = (exponent, coeff)
+        kind, word, pos = tokens[at]
+        if kind == "end":
+            exponents, coeffs = zip(*terms.values())
+            return Germ(exponents, tuple(terms), coeffs)
+        if kind != "plus":
+            raise GermParseError(f"unexpected {word!r}", pos)
+        at += 1
 
 
 def _rat(text: str) -> Fraction:
@@ -355,8 +304,15 @@ def _add_germ_command(sub, name: str, func: Callable[[argparse.Namespace], Outpu
     p.set_defaults(func=func)
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """An argument parser whose rejections raise, so main reports each in one line."""
+
+    def error(self, message: str):
+        raise TsmultError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="tsmult",
         description="Exact multiplier-ideal and V-filtration invariants of "
                     "sums of one-variable power germs.")
@@ -402,9 +358,8 @@ def _write(lines: list[str]) -> None:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         code, lines = args.func(args)
         _write(lines)
         sys.stdout.flush()  # a closed reader shows up here, not at interpreter exit

@@ -9,6 +9,7 @@ just after each jump are derived from its atom table.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil
@@ -179,12 +180,16 @@ def usual_jumpset(microlocal: JumpSet, window: Fraction) -> JumpSet:
     window = Fraction(window)
     if microlocal.window < 1:
         raise WindowExceeded("need the microlocal jump set at least on (0, 1)")
-    base = sorted({v for v in microlocal.values if v < 1} | {Fraction(1)})
-    # v + shift < window for the shifts below ceil(window - v); a Fraction is ~200 bytes
-    n = sum(ceil(window - v) for v in base if v < window)
+    # the microlocal values are sorted and distinct, so base is too, and lies in
+    # (0, 1]: shift s places it in (s, s + 1], and shift by shift is ascending
+    base = [v for v in microlocal.values if v < 1] + [Fraction(1)]
+    last = ceil(window) - 1  # the last shift; all of base + s is below the window before it
+    k = bisect_left(base, window - last)
+    n = last * len(base) + k  # a Fraction is ~200 bytes
     weights._admit(200 * n, f"jump set below {window}: {n} values as Fractions")
-    values = sorted(v + shift for v in base for shift in range(ceil(window - v)))
-    return JumpSet(values=tuple(values), window=window, periodic_tail=True)
+    values = tuple(v + shift for shift in range(last + 1)
+                   for v in (base if shift < last else base[:k]))
+    return JumpSet(values=values, window=window, periodic_tail=True)
 
 
 def periodic_extend(chain: JumpChain, alpha: Fraction) -> ScaledIdeal:

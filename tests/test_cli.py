@@ -79,6 +79,13 @@ def test_parse_errors_with_position():
         parse("0*z^2")
     with pytest.raises(GermParseError):
         parse("")
+    # a number is decimal digits (Unicode Nd): `²` is not one, `٣` is
+    for text, pos in [("x^²", 2), ("y²2/30*x-z1", 1)]:
+        with pytest.raises(GermParseError) as err:
+            parse(text)
+        assert str(err.value) == f"unexpected character '²' (at position {pos})"
+        assert err.value.pos == pos
+    assert parse("x^٣") == Germ((3,), ("x",))
 
 
 def test_round_trip():
@@ -233,8 +240,8 @@ def test_exit_code_int64_overflow_refused(capsys, monkeypatch, argv):
 _GERM_COMMANDS = {"lct": (), "jc": ("window",), "ideal": ("alpha",),
                   "graded": ("alpha", "window"), "spectrum": (), "eigen": (),
                   "irrationality": ()}
-# no digits, so an exponent stays in 2..12
-_STRAY = (" ", "\t", "@", "(", ")", "-", ".", "^", "*", "/", "+", "(+)", "x", "é")
+# no decimal digits, so an exponent stays in 2..12
+_STRAY = (" ", "\t", "@", "(", ")", "-", ".", "^", "*", "/", "+", "(+)", "x", "é", "²")
 
 
 @st.composite
@@ -260,14 +267,15 @@ def _germ_texts(draw):
     return text
 
 
-_small_rationals = st.sampled_from([F(-1), F(-1, 2), F(0), F(1, 6), F(1, 2), F(5, 6), F(1),
-                                    F(7, 6), F(3, 2), F(2), F(5, 2), F(3)])
+# flag values: small rationals, and a few that are not rationals at all
+_flag_values = st.sampled_from(["-1", "-1/2", "0", "1/6", "1/2", "5/6", "1", "7/6", "3/2",
+                                "2", "5/2", "3", "1/0", "abc", ""])
 
 
 @settings(max_examples=200, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(command=st.sampled_from(sorted(_GERM_COMMANDS)), text=_germ_texts(),
-       alpha=_small_rationals, window=_small_rationals, as_json=st.booleans())
+       alpha=_flag_values, window=_flag_values, as_json=st.booleans())
 def test_germ_grammar_contract(capsys, monkeypatch, command, text, alpha, window,
                                as_json):
     # every germ command ends in exit 0 with nothing on stderr, or in exit 2
@@ -286,6 +294,30 @@ def test_germ_grammar_contract(capsys, monkeypatch, command, text, alpha, window
         assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["ideal", "--alpha", "1/0", "x^2+y^3"],
+    ["ideal", "--alpha", "-1/2", "x^2+y^3"],
+    [],
+    ["lct"],
+    ["nope", "x^2+y^3"],
+    ["lct", "--nope", "x^2+y^3"],
+    ["verify", "--suite", "nope"],
+], ids=lambda argv: " ".join(argv) or "no command")
+def test_argparse_rejection_is_one_line(capsys, argv):
+    code, out, err = _run(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "Traceback" not in err and "usage:" not in err
+
+
+def test_help_goes_to_stdout(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["lct", "--help"])
+    out = capsys.readouterr()
+    assert exc.value.code == 0 and out.err == ""
+    assert out.out.startswith("usage: tsmult lct ")
+
+
 def test_cli_matches_recorded_digests(capsys, monkeypatch):
     # exit codes and stdout digests recorded for the benchmark's CLI catalogue
     monkeypatch.delenv("TSMULT_WINDOW", raising=False)
@@ -293,10 +325,7 @@ def test_cli_matches_recorded_digests(capsys, monkeypatch):
     expected = json.loads(recorded.read_text())
     assert expected
     for key, want in expected.items():
-        try:
-            code = main(json.loads(key))
-        except SystemExit as exc:  # argparse rejects the argv
-            code = exc.code
+        code = main(json.loads(key))
         out = capsys.readouterr().out.encode()
         assert code == want["exit"], key
         assert hashlib.sha256(out).hexdigest() == want["stdout_sha256"], key
@@ -352,6 +381,39 @@ def test_irrationality_reads_large_basis_off_the_model():
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[0] == "dim 82160"
     assert "Traceback" not in proc.stderr
+
+
+_CHILD_COMMANDS = """
+import contextlib, io, json, sys
+from tsmult.cli import main
+for argv in json.loads(sys.argv[1]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    print(json.dumps([code, len(out.getvalue()), err.getvalue()]))
+"""
+
+
+def test_thousand_power_germ_under_memory_cap():
+    # the seven germ commands on one oversized germ, in one child under a
+    # 1 GiB cap: the spectral commands answer, the weight-model ones refuse
+    germ, limit = "x^1000+y^1000+z^1000+w^1000", 1 << 30
+    argvs = [[command, *(["--alpha=1/2"] if "alpha" in flags else []), germ]
+             for command, flags in _GERM_COMMANDS.items()]
+    proc = subprocess.run(
+        [sys.executable, "-c", _CHILD_COMMANDS, json.dumps(argvs)],
+        capture_output=True, text=True, env=_child_env(), timeout=120,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
+    assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+    results = dict(zip((argv[0] for argv in argvs), map(json.loads, proc.stdout.splitlines())))
+    assert results.keys() == _GERM_COMMANDS.keys()
+    for command, (code, out_chars, err) in results.items():
+        if command in ("lct", "spectrum", "eigen"):
+            assert code == 0 and out_chars > 0 and err == "", (command, err)
+        else:
+            assert code == 2 and out_chars == 0, (command, err)
+            assert err.startswith("error: weight model of (1000, 1000, 1000, 1000) ")
+            assert err.count("\n") == 1 and "Traceback" not in err
 
 
 def test_closed_stdout_exits_quietly():

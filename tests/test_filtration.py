@@ -1,4 +1,5 @@
 import itertools
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -111,6 +112,17 @@ def test_jumpset_and_usual_jumpset():
     usual = usual_jumpset(micro, F(3))
     assert usual.values == (F(5, 6), F(1), F(11, 6), F(2), F(17, 6))
     assert usual.periodic_tail
+
+
+@pytest.mark.parametrize("ms", [(2,), (2, 2), (2, 3), (5, 7), (3, 4, 5)])
+def test_usual_jumpset_matches_sorted_construction(ms):
+    # listing the base shift by shift equals sorting every v + shift below
+    # the window; the microlocal set runs past 1, and (2, 2) jumps at 1
+    micro = jumpset_of(diagonal_microlocal_chain(Germ(ms), window=F(2)))
+    base = sorted({v for v in micro.values if v < 1} | {F(1)})
+    for window in (F(1, 7), F(5, 6), F(1), F(3, 2), F(2), F(7, 3), F(4)):
+        want = sorted(v + shift for v in base for shift in range(math.ceil(window - v)))
+        assert usual_jumpset(micro, window).values == tuple(want), window
 
 
 def test_usual_jumpset_needs_full_first_window():
