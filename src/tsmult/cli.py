@@ -9,7 +9,7 @@ letters, digits or `_`; a number is a run of decimal digits (Unicode Nd,
 so `٣` reads as 3 while `²` is an unexpected character).
 
 Every rejected input, an argument argparse refuses included, ends in exit 2
-and one `error: ` line on stderr.
+and one `error: ` line on stderr; so does running out of memory.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ import json
 import os
 import re
 import sys
+import time
 from fractions import Fraction
 from typing import Callable, Sequence
 
@@ -183,6 +184,11 @@ def cmd_irrationality(args: argparse.Namespace) -> Output:
     return _basis(args, irrationality_module(parse(args.germ)))
 
 
+def _since(start: float) -> float:
+    """Seconds since a time.perf_counter() reading, to the microsecond."""
+    return round(time.perf_counter() - start, 6)
+
+
 def _suite_summation() -> list[dict]:
     cases = []
     for m1 in range(2, 6):
@@ -191,11 +197,13 @@ def _suite_summation() -> list[dict]:
             for j in range(1, den):
                 alpha = Fraction(j, den)
                 record = {"case": f"summation ({m1},{m2}) alpha {alpha}", "ok": True}
+                start = time.perf_counter()
                 try:
                     summation_path(m1, m2, alpha)
                 except OracleMismatch as exc:
                     record["ok"] = False
                     record["detail"] = str(exc)
+                record["elapsed_s"] = _since(start)
                 cases.append(record)
     return cases
 
@@ -204,11 +212,12 @@ def _suite_convolution() -> list[dict]:
     cases = []
     for m1 in range(2, 7):
         for m2 in range(2, 7):
+            start = time.perf_counter()
             direct = diagonal_microlocal_chain(Germ((m1, m2)))
             convolved = ts_convolve_chains(one_var_microlocal_chain(m1),
                                            one_var_microlocal_chain(m2))
             ok = convolved == direct
-            record = {"case": f"convolution ({m1},{m2})", "ok": ok}
+            record = {"case": f"convolution ({m1},{m2})", "ok": ok, "elapsed_s": _since(start)}
             if not ok:
                 record["detail"] = "convolved chain differs from direct chain"
             cases.append(record)
@@ -225,8 +234,9 @@ def _suite_spectral() -> list[dict]:
             for m3 in range(2, 6):
                 germs.append((m1, m2, m3))
     for ms in germs:
+        start = time.perf_counter()
         report = consistency_check(Germ(ms))
-        record = {"case": f"spectral {list(ms)}", "ok": report.ok}
+        record = {"case": f"spectral {list(ms)}", "ok": report.ok, "elapsed_s": _since(start)}
         if not report.ok:
             record["detail"] = json.dumps(report.to_json())
         cases.append(record)
@@ -237,6 +247,7 @@ def _suite_montecarlo(seed: int, count: int = 40) -> tuple[list[dict], bool, dic
     mc_config = MonteCarloConfig(seed=seed)
     cases = []
     for case in mc_case_set(count=count, seed=seed + 1):
+        start = time.perf_counter()
         evidence = monte_carlo_integrable(case.germ, case.nu, case.alpha, mc_config)
         want = "Integrable" if case.exact_integrable else "Divergent"
         cases.append({
@@ -246,6 +257,7 @@ def _suite_montecarlo(seed: int, count: int = 40) -> tuple[list[dict], bool, dic
             "verdict": evidence["verdict"],
             "expected": want,
             "ratio": evidence["ratio"],
+            "elapsed_s": _since(start),
         })
     rate = sum(c["ok"] for c in cases) / len(cases) if cases else 1.0
     return cases, rate >= 0.95, {"agreement": rate}
@@ -268,10 +280,11 @@ def cmd_verify(args: argparse.Namespace) -> Output:
     wanted = list(_SUITES) if args.suite == "all" else [args.suite]
     suites = []
     for name in wanted:
+        start = time.perf_counter()
         cases, ok, extra = _SUITES[name](args.seed)
         suites.append({"suite": name, "total": len(cases),
                        "passed": sum(c["ok"] for c in cases), "ok": ok,
-                       **extra, "cases": cases})
+                       "elapsed_s": _since(start), **extra, "cases": cases})
     all_ok = all(entry["ok"] for entry in suites)
     code = 0 if all_ok else 3
     if args.json:
@@ -371,6 +384,12 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 1
     except (TsmultError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        # a backstop for builds whose peak outgrows the address space while
+        # each table passes admission; numpy's message gives the failed size
+        print(f"error: out of memory: {exc}" if str(exc) else "error: out of memory",
+              file=sys.stderr)
         return 2
 
 

@@ -6,15 +6,18 @@ weight model by enumeration of the whole exponent box, and the spectrum
 by enumeration of every interior tuple) plus one
 statistical oracle (Monte Carlo estimation of the defining
 integral over dyadic shells).  The statistical oracle is advisory: it
-never gates a symbolic result, only its own agreement test.
+never gates a symbolic result, only its own agreement test.  Its shells
+are independent draws, so they run concurrently on helper threads, with
+the same bits as one after another.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
 from collections import Counter
 from dataclasses import dataclass
-from functools import reduce
 from fractions import Fraction
 from itertools import product
 from typing import NamedTuple, Sequence
@@ -245,11 +248,28 @@ def _case_key(ms: Sequence[int], nu: Sequence[int], alpha: Fraction) -> int:
     return h
 
 
-def _row_sum(terms: np.ndarray) -> np.ndarray:
-    """terms.sum(axis=1), bit for bit.  numpy adds up to three complex terms
-    of a row in order, so those run as column adds on views; it adds four or
-    more pairwise, so those rows stay a row reduce."""
-    return reduce(np.add, terms.T) if terms.shape[1] < 4 else terms.sum(axis=1)
+def _fold_columns(ufunc: np.ufunc, a: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """reduce(ufunc, a.T) written into out: the columns combined left to right."""
+    np.copyto(out, a[:, 0])
+    for j in range(1, a.shape[1]):
+        ufunc(out, a[:, j], out=out)
+    return out
+
+
+def _row_sum(terms: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """terms.sum(axis=1) into out, bit for bit.  numpy adds up to three complex
+    terms of a row in order, so those run as column adds on views; it adds
+    four or more pairwise, so those rows stay a row reduce."""
+    return _fold_columns(np.add, terms, out) if terms.shape[1] < 4 else terms.sum(axis=1, out=out)
+
+
+def _workers(shells: int) -> int:
+    """Threads for the shells: one per CPU this process may run on, at most one a shell."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cpus = os.cpu_count() or 1
+    return min(shells, cpus)
 
 
 def monte_carlo_integrable(germ: Germ, nu: Sequence[int], alpha: Rat,
@@ -260,6 +280,13 @@ def monte_carlo_integrable(germ: Germ, nu: Sequence[int], alpha: Rat,
     (2^-(k+1), 2^-k] by uniform polydisk sampling, fits the per-shell
     geometric ratio by least squares on the log estimates, and compares
     it against 1 with the configured margin.
+
+    Each shell draws from its own generator, seeded by (seed, case, k), so
+    the shells run concurrently: the calling thread and one helper thread
+    per further CPU (see _workers) each take every workers-th shell, and
+    numpy releases the GIL in the draws and ufuncs.  The estimates are the
+    same bits whatever the number of workers.  Helpers are joined before
+    the call returns, and an exception in one is raised here.
     """
     config = config or MonteCarloConfig()
     alpha = Fraction(alpha)
@@ -269,26 +296,71 @@ def monte_carlo_integrable(germ: Germ, nu: Sequence[int], alpha: Rat,
     if alpha < 0:
         raise ValueError("alpha must be nonnegative")
     d = germ.dim
+    n = config.samples
     ms = np.array(germ.exponents, dtype=np.float64)
     coeffs = np.array([float(c) for c in germ.coefficients], dtype=np.float64)
     two_nu = 2.0 * np.array(nu, dtype=np.float64)
     two_alpha = 2.0 * float(alpha)
     key = _case_key(germ.exponents, nu, alpha)
-    estimates = []
-    for k in range(1, config.shells + 1):
-        rng = np.random.default_rng([config.seed, key, k])
-        radius = 2.0 ** (-k)
-        radii = radius * np.sqrt(rng.random((config.samples, d)))
-        theta = rng.random((config.samples, d))
-        z = radii * np.exp(2j * np.pi * theta)
-        # reductions over a row's d entries run as d - 1 whole-column ops on
-        # views, in numpy's order for a row reduce, so the bits are the same
-        in_shell = reduce(np.maximum, radii.T) > radius / 2.0
-        f_abs = np.abs(_row_sum(coeffs * z ** ms))
-        np.maximum(f_abs, 1e-300, out=f_abs)
-        integrand = reduce(np.multiply, (radii ** two_nu).T) / f_abs ** two_alpha
-        volume = (np.pi * radius * radius) ** d
-        estimates.append(volume * float(np.mean(integrand * in_shell)))
+    estimates = [0.0] * config.shells
+    workers = _workers(config.shells)
+
+    def run_shells(first: int) -> None:
+        # shells first, first + workers, ... on buffers made once per call;
+        # each step is the ufunc the one-shot expressions radius * sqrt(u),
+        # radii * exp(2j * pi * theta), coeffs * z ** ms and
+        # prod / f_abs ** two_alpha * in_shell run, with the same operand
+        # order, so the bits are the same as on fresh arrays
+        radii, theta = np.empty((n, d)), np.empty((n, d))
+        z = np.empty((n, d), dtype=np.complex128)
+        total = np.empty(n, dtype=np.complex128)
+        col, f_abs = np.empty(n), np.empty(n)
+        in_shell = np.empty(n, dtype=bool)
+        for k in range(first, config.shells + 1, workers):
+            rng = np.random.default_rng([config.seed, key, k])
+            radius = 2.0 ** (-k)
+            rng.random(out=radii)
+            np.sqrt(radii, out=radii)
+            np.multiply(radius, radii, out=radii)
+            rng.random(out=theta)
+            np.multiply(2j * np.pi, theta, out=z)
+            np.exp(z, out=z)
+            np.multiply(radii, z, out=z)
+            # reductions over a row's d entries run as d - 1 whole-column ops on
+            # views, in numpy's order for a row reduce, so the bits are the same
+            np.greater(_fold_columns(np.maximum, radii, col), radius / 2.0, out=in_shell)
+            z **= ms
+            np.multiply(coeffs, z, out=z)
+            np.abs(_row_sum(z, total), out=f_abs)
+            np.maximum(f_abs, 1e-300, out=f_abs)
+            f_abs **= two_alpha  # `**` keeps numpy's scalar fast paths (sqrt, square)
+            radii **= two_nu
+            integrand = _fold_columns(np.multiply, radii, col)
+            integrand /= f_abs
+            integrand *= in_shell
+            volume = (np.pi * radius * radius) ** d
+            estimates[k - 1] = volume * float(np.mean(integrand))
+
+    errors: list[BaseException] = []
+
+    def helper(first: int) -> None:
+        try:
+            run_shells(first)
+        except BaseException as exc:  # raised in the caller after the join
+            errors.append(exc)
+
+    threads = []
+    try:
+        for first in range(2, workers + 1):
+            thread = threading.Thread(target=helper, args=(first,))
+            thread.start()
+            threads.append(thread)
+        run_shells(1)
+    finally:
+        for thread in threads:
+            thread.join()
+    if errors:
+        raise errors[0]
     ks = np.arange(1, config.shells + 1, dtype=np.float64)
     logs = np.log2(np.maximum(estimates, 1e-300))
     slope = float(np.polyfit(ks, logs, 1)[0])

@@ -18,6 +18,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import tsmult
+from tsmult import cli
 from tsmult.cli import main, parse
 from tsmult.errors import GermParseError
 from tsmult.germs import Germ
@@ -416,6 +417,46 @@ def test_thousand_power_germ_under_memory_cap():
             assert err.count("\n") == 1 and "Traceback" not in err
 
 
+# Germs whose builds outgrow a 1 GiB address space although each table passes
+# admission: a 2-variable, four 3-variable and a 4-variable band edge
+_MEMORY_BAND = [
+    ["ideal", "--alpha=1/2", "x^140+y^141+z^142"],
+    ["ideal", "--alpha=1/2", "x^180+y^181+z^182"],
+    ["graded", "--alpha=1", "x^100+y^101+z^102"],
+    ["graded", "--alpha=1", "x^120+y^121+z^122"],
+    ["irrationality", "x^140+y^141+z^142"],
+    ["jc", "x^180+y^181+z^182"],
+    ["ideal", "--alpha=1/2", "x^2000+y^2001"],
+    ["irrationality", "x^50+y^51+z^52+w^53"],
+]
+
+
+def test_memory_band_under_cap_exits_in_one_line():
+    # each command answers or ends in one `error:` line, never a traceback
+    limit = 1 << 30
+    proc = subprocess.run(
+        [sys.executable, "-c", _CHILD_COMMANDS, json.dumps(_MEMORY_BAND)],
+        capture_output=True, text=True, env=_child_env(), timeout=300,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
+    assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+    results = [json.loads(line) for line in proc.stdout.splitlines()]
+    assert len(results) == len(_MEMORY_BAND)
+    for argv, (code, out_chars, err) in zip(_MEMORY_BAND, results):
+        assert code in (0, 2), (argv, code, err)
+        assert "Traceback" not in err and err.count("\n") <= 1, (argv, err)
+        if code == 2:
+            assert out_chars == 0 and err.startswith("error: "), (argv, err)
+
+
+def test_memory_error_without_message_is_one_line(capsys, monkeypatch):
+    # Python's own MemoryError may carry no message; the line still ends cleanly
+    def exhausted(germ):
+        raise MemoryError()
+
+    monkeypatch.setattr(cli, "spectrum_of", exhausted)
+    assert _run(capsys, ["spectrum", "x^2+y^3"]) == (2, "", "error: out of memory\n")
+
+
 def test_closed_stdout_exits_quietly():
     # about 1 MB of spectrum lines overflows the pipe buffer, so the child
     # is still writing when the reader closes its end after one line
@@ -502,6 +543,9 @@ def test_verify_json_report(capsys):
     suite = payload["suites"][0]
     assert suite["suite"] == "spectral"
     assert suite["passed"] == suite["total"] == 84
+    # the schema requires elapsed_s on the suite and on each case; the
+    # suite's time covers its cases' (each rounded to the microsecond)
+    assert sum(c["elapsed_s"] for c in suite["cases"]) <= suite["elapsed_s"] + 84e-6
 
 
 def test_montecarlo_evidence_schema():

@@ -1,10 +1,12 @@
 import itertools
+import threading
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tsmult import oracles
 from tsmult.errors import OracleMismatch
 from tsmult.filtration import j_lookup
 from tsmult.germs import Germ, one_var_usual_chain
@@ -226,6 +228,49 @@ def test_monte_carlo_matches_row_reduction_bits():
             estimates, ratio = bf_mc_estimates(germ, nu, alpha, config)
             assert [s["estimate"] for s in got["shells"]] == estimates, (germ, nu, alpha)
             assert got["ratio"] == ratio, (germ, nu, alpha)
+
+
+_MC_CASES = [(Germ((3,)), (1,), F(1, 4)), (Germ((2, 3)), (0, 0), F(7, 10)),
+             (Germ((2, 3, 4)), (1, 2, 1), F(1, 3)), (Germ((2, 2, 3, 3)), (1, 0, 2, 1), F(1, 2))]
+
+
+def test_monte_carlo_bits_do_not_depend_on_workers(monkeypatch):
+    # each shell has its own generator and buffers, so splitting the shells
+    # over one, two or three workers gives the same evidence, and every
+    # helper thread is gone when the call returns
+    configs = (MonteCarloConfig(), MonteCarloConfig(shells=2, samples=50),
+               MonteCarloConfig(shells=7, samples=333, seed=4))
+    results = {}
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(oracles, "_workers", lambda shells: workers)
+        for germ, nu, alpha in _MC_CASES:
+            for config in configs:
+                before = threading.active_count()
+                results.setdefault((germ, nu, alpha, config), []).append(
+                    monte_carlo_integrable(germ, nu, alpha, config))
+                assert threading.active_count() == before
+    for evidence in results.values():
+        assert evidence[0] == evidence[1] == evidence[2]
+
+
+@pytest.mark.parametrize("failing_shell", [1, 2])
+def test_monte_carlo_shell_exception_reaches_caller(monkeypatch, capfd, failing_shell):
+    # with two workers the caller runs the odd shells and a helper the even
+    # ones; either one's exception is raised by the call, after the join
+    real_rng = oracles.np.random.default_rng
+
+    def rng(seed):
+        if seed[2] == failing_shell:
+            raise RuntimeError(f"shell {failing_shell} failed")
+        return real_rng(seed)
+
+    monkeypatch.setattr(oracles, "_workers", lambda shells: 2)
+    monkeypatch.setattr(oracles.np.random, "default_rng", rng)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match=f"shell {failing_shell} failed"):
+        monte_carlo_integrable(Germ((2, 3)), (0, 0), F(7, 10))
+    assert threading.active_count() == before
+    assert capfd.readouterr().err == ""
 
 
 def test_mc_case_set_deterministic_and_gapped():
