@@ -11,6 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
+
+import numpy as np
 
 from . import weights
 from .errors import ChainKindError, NotReduced, WindowExceeded
@@ -38,6 +41,15 @@ def ts_multiplier(c1: JumpChain, c2: JumpChain, alpha: Fraction) -> MonomialIdea
 
     Valid because the usual and microlocal ideals agree below 1, so the
     right-continuous value of the convolved chain is the answer.
+
+    The convolution stops at cap = v + 1, where v is the first multiple
+    of 1/D past alpha and D the convolved denominator.  That is enough:
+    a minimal generator g of {w > alpha} other than 1 has a decrement
+    g - e_j of weight at most alpha, and one step in a variable adds at
+    most 1 (a one-variable increment is 1/m or 2/m with m >= 2), so
+    w(g) <= alpha + 1 < cap and g is an atom of the model; 1 is always
+    one.  It is also the least cap that generators_at accepts for the
+    threshold v.
     """
     alpha = Fraction(alpha)
     if not 0 < alpha < 1:
@@ -47,7 +59,9 @@ def ts_multiplier(c1: JumpChain, c2: JumpChain, alpha: Fraction) -> MonomialIdea
         raise ChainKindError("factor chains must be of the same family")
     if min(c1.window, c2.window) < 1:
         raise WindowExceeded("factor chains must cover the window [0, 1)")
-    model = weights.convolve(c1.model, c2.model, cap=Fraction(2))
+    denom = lcm(c1.model.denom, c2.model.denom)
+    past = alpha.numerator * denom // alpha.denominator + 1  # v = past / D
+    model = weights.convolve(c1.model, c2.model, cap=Fraction(past + denom, denom))
     return weights.generators_at(model, alpha, strict=True)
 
 
@@ -91,8 +105,16 @@ class GradedSummand:
 def ts_graded(c1: JumpChain, c2: JumpChain, alpha: Fraction) -> list[GradedSummand]:
     """Graded piece of the sum at alpha as a sum of factor products.
 
-    Returns the nonzero blocks (level pair and the two factor bases);
-    the total dimension is the sum over blocks of the basis-size product.
+    Returns the nonzero blocks (level pair and the two factor bases), in
+    increasing order of the first level; the total dimension is the sum
+    over blocks of the basis-size product.
+
+    The pairs are found on integers.  With D the lcm of the factors'
+    denominators, a block (lv, alpha - lv) has both levels in (1/D)Z and
+    both positive, so it exists only when A = alpha·D is an integer, and
+    its scaled levels are the common values of the factor weights below
+    A scaled to D, and of A minus those of the second factor: one
+    intersect1d.  Only the returned blocks become Fractions and tuples.
     """
     alpha = Fraction(alpha)
     for c in (c1, c2):
@@ -100,15 +122,23 @@ def ts_graded(c1: JumpChain, c2: JumpChain, alpha: Fraction) -> list[GradedSumma
             raise ChainKindError("graded convolution expects microlocal V-mode chains")
         if alpha >= c.window:
             raise WindowExceeded(f"alpha = {alpha} outside factor window [0, {c.window})")
-    out = []
-    for lv in c1.levels:
-        if not 0 < alpha - lv:
-            continue
-        e1 = weights.graded_exponents(c1.model, lv)
-        e2 = weights.graded_exponents(c2.model, alpha - lv)
-        if e1 and e2:
-            out.append(GradedSummand(lv, alpha - lv, QuotientBasis(e1), QuotientBasis(e2)))
-    return out
+    denom = lcm(c1.model.denom, c2.model.denom)
+    if (alpha * denom).denominator != 1:
+        return []
+    top = alpha.numerator * (denom // alpha.denominator)
+    weights._admit_int64(top, "graded piece at {} over denominator {}", alpha, denom)
+    w1, rows1 = weights._light_rows(c1.model, alpha, denom)
+    w2, rows2 = weights._light_rows(c2.model, alpha, denom)
+    levels = np.intersect1d(w1, top - w2)
+    bounds1 = [np.searchsorted(w1, levels, side=s).tolist() for s in ("left", "right")]
+    bounds2 = [np.searchsorted(w2, top - levels, side=s).tolist() for s in ("left", "right")]
+    return [GradedSummand(Fraction(v, denom), Fraction(top - v, denom),
+                          _basis(c1.model, rows1[lo1:hi1]), _basis(c2.model, rows2[lo2:hi2]))
+            for v, lo1, hi1, lo2, hi2 in zip(levels.tolist(), *bounds1, *bounds2)]
+
+
+def _basis(model: weights.WeightModel, rows: np.ndarray) -> QuotientBasis:
+    return QuotientBasis(tuple(map(tuple, model.exps[rows].tolist())))
 
 
 def irrationality_module(germ: Germ) -> QuotientBasis:

@@ -101,6 +101,12 @@ def _one_var_scaled(m: int, cap: Fraction, denom: int, usual: bool) -> np.ndarra
     return nums[:count] * (denom // m)
 
 
+def _prefixes(counts: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The n pairs (i, k) with k < counts[i], in order of i and then k."""
+    return (np.repeat(np.arange(len(counts)), counts),
+            np.arange(n) - np.repeat(np.cumsum(counts) - counts, counts))
+
+
 def diagonal_model(ms: Sequence[int], cap: Fraction, usual: bool = False) -> WeightModel:
     """Model of the weight g ↦ Σ_j w(m_j, g_j) on the exponents where it is < cap.
 
@@ -114,6 +120,9 @@ def diagonal_model(ms: Sequence[int], cap: Fraction, usual: bool = False) -> Wei
     of a repeated row keep k ascending, so the rows stay lex-sorted with
     no sort.  An extension's drop is max(drop + t_j[k], weight + t_j[k-1]):
     a decrement in an earlier column, or in column j itself when k > 0.
+    The fold starts at column 0, whose rows are z^k with t_0[k] below
+    cap - rest_0 and drops t_0[k-1], so a one-variable model runs no
+    fold step.
 
     Every kept prefix extends by zeros to a distinct final atom, so no
     intermediate table is larger than the result and the work is
@@ -124,38 +133,42 @@ def diagonal_model(ms: Sequence[int], cap: Fraction, usual: bool = False) -> Wei
     not fit in int64: every other weight and drop is below the cut.
     """
     ms = tuple(int(m) for m in ms)
-    if any(m < 2 for m in ms):
-        raise ValueError("diagonal model needs all exponents >= 2")
+    if not ms or any(m < 2 for m in ms):
+        raise ValueError("diagonal model needs one or more exponents, all >= 2")
     dim = len(ms)
     denom = lcm(*ms)
     bound = _cut(cap, denom)
     _admit_int64(max(bound, sum(denom // m for m in ms)),
                  "weight model of {} below {}", ms, cap)
     tables = [_one_var_scaled(m, cap, denom, usual) for m in ms]
-    rest = sum(int(t[0]) for t in tables)
-    weight = np.zeros(1, dtype=np.int64)
-    drop = np.full(1, NO_DROP, dtype=np.int64)
+    rest = sum(int(t[0]) for t in tables[1:])
+    first = tables[0]
+    n = max(int(np.searchsorted(first, bound - rest)), 1)
+    _admit(8 * (dim + 2) * n, f"weight model of {ms} below {cap} has {n} atoms")
+    weight = first[:n]
+    drop = np.concatenate(([NO_DROP], first[:n - 1]))
     links = []
-    for t in tables:
+    for t in tables[1:]:
         rest -= int(t[0])
         counts = np.searchsorted(t, bound - rest - weight)
         counts[0] = max(counts[0], 1)  # row 0 is the zero prefix
         n = int(counts.sum())
         _admit(8 * (dim + 2) * n, f"weight model of {ms} below {cap} has {n} atoms")
-        parent = np.repeat(np.arange(len(weight)), counts)
-        k = np.arange(n) - np.repeat(np.cumsum(counts) - counts, counts)
+        parent, k = _prefixes(counts, n)
         base = weight[parent]
         down = np.where(k > 0, base + t[np.maximum(k - 1, 0)], NO_DROP)
         drop = np.maximum(_shifted(drop[parent], t[k]), down)
         weight = base + t[k]
         links.append((parent, k))
-    # read each final row's exponents back through its chain of parents
+    # read each final row's exponents back through its chain of parents;
+    # a row of column 0 is its own exponent there
     exps = np.empty((len(weight), dim), dtype=np.int64)
     row = np.arange(len(weight))
-    for j in range(dim - 1, -1, -1):
-        parent, k = links[j]
+    for j in range(dim - 1, 0, -1):
+        parent, k = links[j - 1]
         exps[:, j] = k[row]
         row = parent[row]
+    exps[:, 0] = row
     return WeightModel(dim, denom, cap, exps, weight, drop)
 
 
@@ -176,23 +189,45 @@ def convolve(a: WeightModel, b: WeightModel, cap: Fraction | None = None) -> Wei
 
     Pair weights add; a pair's drop is the best single decrement taken in
     either factor.  The result is complete below min(cap, a.cap, b.cap).
+
+    Row i of a pairs with the atoms of b lighter than cut - w_a(i): a
+    prefix of b in weight order, whose length is one searchsorted, so
+    the work is O(|a| log |b| + output) and the output is known, and
+    admitted, before it is allocated.  The pairs come out grouped by row
+    of a.  A one-variable b is in weight order already, so they are lex
+    order too; otherwise one sort of the integer key i·|b| + j restores
+    it.  The zero pair (0, 0) is always kept: row 0 of b is the lightest.
     """
     cap_out = min(a.cap, b.cap) if cap is None else min(cap, a.cap, b.cap)
-    _admit(8 * len(a.weight) * len(b.weight),
-           f"pair matrix of {len(a.weight)} x {len(b.weight)} atoms")
     denom = lcm(a.denom, b.denom)
     a = rescaled(a, denom)
     b = rescaled(b, denom)
-    _admit_int64(_top(a) + _top(b), "pair weights of {} x {} atoms",
-                 len(a.weight), len(b.weight))
-    mask = a.weight[:, None] + b.weight[None, :] < _cut(cap_out, denom)
-    mask[0, 0] = True  # the zero exponent, first in lex order
-    # row-major pairs of two lex-sorted tables are already lex-sorted
-    ia, ib = np.nonzero(mask)
-    exps = np.hstack([a.exps[ia], b.exps[ib]])
-    weight = a.weight[ia] + b.weight[ib]
-    drop = np.maximum(_shifted(a.drop[ia], b.weight[ib]), _shifted(b.drop[ib], a.weight[ia]))
-    return WeightModel(a.dim + b.dim, denom, cap_out, exps, weight, drop)
+    na, nb = len(a.weight), len(b.weight)
+    _admit_int64(_top(a) + _top(b), "pair weights of {} x {} atoms", na, nb)
+    by_weight = None if b.dim == 1 else np.argsort(b.weight)
+    sorted_b = b.weight if by_weight is None else b.weight[by_weight]
+    counts = np.searchsorted(sorted_b, _cut(cap_out, denom) - a.weight)
+    counts[0] = max(counts[0], 1)  # the zero exponent, first in lex order
+    n = int(counts.sum())
+    dim = a.dim + b.dim
+    index_arrays = 2 if by_weight is None else 3
+    _admit(8 * (dim + 2 + index_arrays) * n,
+           f"convolution of {na} x {nb} atoms below {cap_out} has {n} atoms")
+    ia, ib = _prefixes(counts, n)
+    if by_weight is not None:
+        key = ia * nb + by_weight[ib]
+        key.sort()  # within each row of a only: ia is nondecreasing
+        ib = key - ia * nb
+    # a column at a time: numpy copies a narrow 2-D block row by row, ~5x slower
+    exps = np.empty((n, dim), dtype=np.int64)
+    for j in range(a.dim):
+        exps[:, j] = np.repeat(a.exps[:, j], counts)
+    for j in range(b.dim):
+        exps[:, a.dim + j] = b.exps[:, j].take(ib)
+    wa, wb = np.repeat(a.weight, counts), b.weight.take(ib)
+    weight = wa + wb
+    drop = np.maximum(_shifted(np.repeat(a.drop, counts), wb), _shifted(b.drop.take(ib), wa))
+    return WeightModel(dim, denom, cap_out, exps, weight, drop)
 
 
 def _scaled_threshold(model: WeightModel, alpha: Fraction, strict: bool) -> int:
@@ -280,6 +315,16 @@ def graded_exponents(model: WeightModel, alpha: Fraction) -> tuple[tuple[int, ..
         return ()
     t = num // alpha.denominator
     return tuple(map(tuple, model.exps[model.weight == t].tolist()))
+
+
+def _light_rows(model: WeightModel, alpha: Fraction,
+                denom: int) -> tuple[np.ndarray, np.ndarray]:
+    """Atoms of weight below alpha, in weight order and lex order within a
+    weight: their weights as numerators over denom, a multiple of
+    model.denom, and their row indices."""
+    rows = np.flatnonzero(model.weight < _cut(alpha, model.denom))
+    rows = rows[np.argsort(model.weight[rows], kind="stable")]
+    return model.weight[rows] * (denom // model.denom), rows
 
 
 def quotient_exponents(model: WeightModel, alpha: Fraction,

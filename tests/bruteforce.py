@@ -19,6 +19,9 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from tsmult import weights
+from tsmult.convolution import GradedSummand
+from tsmult.monomial import QuotientBasis
 from tsmult.oracles import Constraint, _case_key
 
 
@@ -118,6 +121,21 @@ def bf_pair_sum_v(ms1: Sequence[int], ms2: Sequence[int],
             for q in g2:
                 members.add(p + q)
     return bf_minimal(members)
+
+
+def bf_ts_graded(c1, c2, alpha: Fraction) -> list[GradedSummand]:
+    """Blocks of the graded piece of a sum at alpha, one level of c1 at a
+    time: each level a Fraction, each graded piece a pass over its table."""
+    alpha = Fraction(alpha)
+    out = []
+    for lv in c1.levels:
+        if not 0 < alpha - lv:
+            continue
+        e1 = weights.graded_exponents(c1.model, lv)
+        e2 = weights.graded_exponents(c2.model, alpha - lv)
+        if e1 and e2:
+            out.append(GradedSummand(lv, alpha - lv, QuotientBasis(e1), QuotientBasis(e2)))
+    return out
 
 
 def bf_irrationality_basis(ms: Sequence[int]) -> list[tuple[int, ...]]:

@@ -14,7 +14,7 @@ from tsmult.germs import (Germ, diagonal_microlocal_chain, diagonal_usual_chain,
 from tsmult.weights import achieved_levels, generators_at
 
 from bruteforce import (bf_diagonal_gens, bf_irrationality_basis, bf_micro_weight,
-                        bf_pair_sum_v)
+                        bf_pair_sum_v, bf_ts_graded)
 
 
 def test_convolve_pairs_match_direct():
@@ -160,6 +160,28 @@ def test_ts_graded_total_matches_direct():
         blocks = ts_graded(c1, c2, alpha)
         total = sum(b.dim for b in blocks)
         assert total == len(graded_exponents(direct.model, alpha)), alpha
+
+
+# every split of every ordered tuple up to three variables from 2..5; for
+# four, sorted tuples from 2..4
+_GRADED_SPLITS = [(ms, cut) for d in (2, 3) for ms in itertools.product(range(2, 6), repeat=d)
+                  for cut in range(1, d)] + \
+    [(ms, cut) for ms in itertools.combinations_with_replacement(range(2, 5), 4)
+     for cut in range(1, 4)]
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_ts_graded_matches_per_level_oracle(d):
+    window = F(2)
+    for ms, cut in _GRADED_SPLITS:
+        if len(ms) != d:
+            continue
+        c1 = diagonal_microlocal_chain(Germ(ms[:cut]), window)
+        c2 = diagonal_microlocal_chain(Germ(ms[cut:]), window)
+        den = 2 * math.lcm(*ms)  # alpha on (1/2D)Z, half of it off the levels' lattice
+        for n in range(1, 2 * den):
+            alpha = F(n, den)
+            assert ts_graded(c1, c2, alpha) == bf_ts_graded(c1, c2, alpha), (ms, cut, alpha)
 
 
 def test_irrationality_goldens():

@@ -1,8 +1,11 @@
 import itertools
 from fractions import Fraction as F
+from math import lcm
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tsmult import weights
 from tsmult.errors import ResourceLimit, WindowExceeded
@@ -54,6 +57,51 @@ def test_diagonal_model_equals_box_model(d):
             for usual in (False, True):
                 assert _identical(diagonal_model(ms, cap, usual),
                                   box_model(ms, cap, usual)), (ms, cap, usual)
+
+
+def test_fold_start_matches_box_model_on_short_tables():
+    # caps at, between and just past the first weights z^0 and z^1, so the
+    # column tables are cut to length 1 or 2, or the whole model to row 0
+    for ms in [(m,) for m in range(2, 12)] + list(itertools.product(range(2, 9), repeat=2)):
+        zero = sum(F(1, m) for m in ms)
+        caps = {F(k, 2 * m) for m in ms for k in range(1, 6)} | {zero, zero + F(1, 100)}
+        for cap in caps:
+            for usual in (False, True):
+                assert _identical(diagonal_model(ms, cap, usual),
+                                  box_model(ms, cap, usual)), (ms, cap, usual)
+
+
+@st.composite
+def _convolve_cases(draw):
+    ms1 = tuple(draw(st.lists(st.integers(2, 7), min_size=1, max_size=2)))
+    # one right variable takes the path with no sort, two or more the sorted one
+    ms2 = tuple(draw(st.lists(st.integers(2, 7), min_size=1, max_size=4 - len(ms1))))
+    denom = lcm(*ms1, *ms2)
+    zero = sum(F(1, m) for m in ms1 + ms2)  # the zero exponent's weight
+    kind = draw(st.sampled_from(["on", "off", "forced"]))
+    if kind == "on":
+        cap = F(draw(st.integers(1, 3 * denom)), denom)
+    elif kind == "off":
+        cap = F(2 * draw(st.integers(0, 3 * denom - 1)) + 1, 2 * denom)
+    else:  # at or below the zero exponent's weight: only row 0, kept by force
+        cap = zero * F(draw(st.integers(1, 4)), 4)
+    factor_cap = cap + F(draw(st.integers(0, 2)), 2)
+    return ms1, ms2, cap, factor_cap, draw(st.booleans())
+
+
+@settings(max_examples=300, deadline=None)
+@given(_convolve_cases())
+def test_convolve_matches_box_model(case):
+    ms1, ms2, cap, factor_cap, usual = case
+    joined = convolve(diagonal_model(ms1, factor_cap, usual),
+                      diagonal_model(ms2, factor_cap, usual), cap)
+    assert models_equal(joined, box_model(ms1 + ms2, cap, usual))
+
+
+def test_diagonal_model_needs_exponents_from_two():
+    for ms in [(), (1,), (2, 1)]:
+        with pytest.raises(ValueError, match="one or more exponents, all >= 2"):
+            diagonal_model(ms, F(2))
 
 
 def test_one_var_atom_weights_match_recursion():
@@ -148,10 +196,20 @@ def test_table_byte_limit_refuses_before_building(monkeypatch):
     bigger = box_model((5, 5), cap=F(11, 5))
     with pytest.raises(ResourceLimit, match=rf"has {len(bigger.weight)} atoms: "):
         diagonal_model((5, 5), cap=F(11, 5))
+    # a convolution is admitted on its output: rows of exponents, weight
+    # and drop, plus the two pair index arrays of a one-variable right factor
     quintic = diagonal_model((5,), cap=F(4))
     n = len(quintic.weight)
-    with pytest.raises(ResourceLimit, match=rf"pair matrix of {n} x {n} atoms: {8 * n * n} bytes"):
+    rows = len(box_model((5, 5), cap=F(4)).weight)
+    with pytest.raises(ResourceLimit, match=rf"convolution of {n} x {n} atoms below 4 "
+                                            rf"has {rows} atoms: {8 * 6 * rows} bytes"):
         convolve(quintic, quintic)
+    # a right factor of two variables adds the sort key
+    pair = box_model((5, 5), cap=F(4))
+    rows = len(box_model((5, 5, 5), cap=F(4)).weight)
+    with pytest.raises(ResourceLimit, match=rf"convolution of {n} x {len(pair.weight)} atoms "
+                                            rf"below 4 has {rows} atoms: {8 * 8 * rows} bytes"):
+        convolve(quintic, pair)
     with pytest.raises(ResourceLimit, match=r"weight table of z\^1000 "):
         diagonal_model((1000,), cap=F(4))
 
