@@ -25,7 +25,7 @@ from typing import Callable, Sequence
 
 from .convolution import irrationality_module, ts_convolve_chains
 from .errors import GermParseError, OracleMismatch, TsmultError
-from .filtration import graded_at, jumpset_of, periodic_extend, usual_jumpset
+from .filtration import JumpSet, graded_at, periodic_extend, usual_jumpset
 from .germs import (DEFAULT_WINDOW, Germ, diagonal_microlocal_chain,
                     diagonal_usual_chain, lct, one_var_microlocal_chain)
 from .monomial import QuotientBasis
@@ -152,9 +152,11 @@ def cmd_lct(args: argparse.Namespace) -> Output:
 
 def cmd_jc(args: argparse.Namespace) -> Output:
     window = _window(args)
-    micro = jumpset_of(diagonal_microlocal_chain(parse(args.germ), window=Fraction(1)))
-    jumps = usual_jumpset(micro, window)
-    return 0, _json(jumps.to_json()) if args.json else [str(v) for v in jumps.values]
+    # the microlocal jumps in (0, 1) are the spectral numbers there
+    spectrum = spectrum_of(parse(args.germ))
+    below_one = spectrum.keys[spectrum.keys < spectrum.denom]
+    jumps = usual_jumpset(JumpSet(spectrum.denom, below_one, Fraction(1)), window)
+    return 0, _json(jumps.to_json()) if args.json else jumps.value_strings()
 
 
 def cmd_ideal(args: argparse.Namespace) -> Output:

@@ -4,7 +4,8 @@ The microlocal chain of f1 + f2 on disjoint variables is the level-wise
 convolution of the factor chains: V^a of the sum is spanned by products
 of factor monomials whose levels add up to at least a.  Everything else
 here (usual multiplier ideals below 1, jump sets, lct, graded pieces and
-the level-1 bookkeeping) is derived from that single engine.
+the level-1 bookkeeping) is derived from that single engine, except the
+irrationality dimension, which counts spectral numbers.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from .errors import ChainKindError, NotReduced, WindowExceeded
 from .filtration import MICROLOCAL, JumpChain, JumpSet, chain_from_model
 from .germs import Germ, diagonal_microlocal_chain
 from .monomial import MonomialIdeal, QuotientBasis, Rat
+from .spectral import spectrum_of
 
 
 def ts_convolve_chains(c1: JumpChain, c2: JumpChain,
@@ -66,18 +68,30 @@ def ts_multiplier(c1: JumpChain, c2: JumpChain, alpha: Fraction) -> MonomialIdea
 
 
 def ts_jumpset(s1: JumpSet, s2: JumpSet, window: Fraction | None = None) -> JumpSet:
-    """Jump levels of the sum: the truncated sumset of factor levels."""
-    if not s1.values or not s2.values:
+    """Jump levels of the sum: the truncated sumset of factor levels.
+
+    The keys of s2 pairing with a key of s1 below the window are a prefix,
+    so the pairs are counted and admitted (40 bytes each, measured) before
+    they are formed; a sort and a diff keep the distinct sums."""
+    if not len(s1.keys) or not len(s2.keys):
         w = min(s1.window, s2.window) if window is None else Fraction(window)
-        return JumpSet(values=(), window=w)
-    if window is None:
-        window = min(s1.window + min(s2.values), s2.window + min(s1.values))
-    else:
-        window = Fraction(window)
-    if s1.window + min(s2.values) < window or s2.window + min(s1.values) < window:
+        return JumpSet(1, s1.keys[:0], w)
+    # each factor's levels are complete below its window only
+    reach = min(s1.window + Fraction(int(s2.keys[0]), s2.denom),
+                s2.window + Fraction(int(s1.keys[0]), s1.denom))
+    window = reach if window is None else Fraction(window)
+    if window > reach:
         raise WindowExceeded("factor jump sets are too short for the requested window")
-    sums = {a + b for a in s1.values for b in s2.values if a + b < window}
-    return JumpSet(values=tuple(sorted(sums)), window=window)
+    denom = lcm(s1.denom, s2.denom)
+    weights._admit_int64(weights._cut(s1.window + s2.window, denom),
+                         "jump sums over denominator {}", denom)
+    a, b = (s.keys * (denom // s.denom) for s in (s1, s2))
+    counts = np.searchsorted(b, weights._cut(window, denom) - a)
+    n = int(counts.sum())
+    weights._admit(40 * n, f"jump sums of {len(a)} x {len(b)} levels below {window}: {n} pairs")
+    ia, ib = weights._prefixes(counts, n)
+    sums = np.sort(a[ia] + b[ib])
+    return JumpSet(denom, sums[weights._runs(sums)], window)
 
 
 def ts_lct(l1: Rat, l2: Rat) -> Rat:
@@ -155,7 +169,12 @@ def irrationality_module(germ: Germ) -> QuotientBasis:
 
 
 def irrationality_dim(germ: Germ) -> int:
-    return irrationality_module(germ).dim
+    """Dimension of the irrationality module: the number of spectral numbers
+    <= 1 with multiplicity (Budur 2003, with Steenbrink's 1977 spectrum)."""
+    if germ.dim < 2:
+        raise NotReduced("the irrationality module needs a reduced germ (at least 2 variables)")
+    spectrum = spectrum_of(germ)
+    return int(spectrum.counts[spectrum.keys <= spectrum.denom].sum())
 
 
 @dataclass(frozen=True)
@@ -189,8 +208,8 @@ def alpha_one_sequence_check(g1: Germ, g2: Germ) -> AlphaOneReport:
     The graded dimension at 1 is computed directly from the convolved
     chain and as the paired sum over factor levels; the cokernel of the
     level-1 ideal splits as the cokernel of the (>= 1) ideal plus the
-    graded piece, which pins the kernel of the graded surjection at 1 to
-    the irrationality dimension.
+    graded piece, so the convolved model's two colengths must add up to
+    the irrationality dimension, which is read off the spectrum.
     """
     window = Fraction(3, 2)
     c1 = diagonal_microlocal_chain(g1, window)

@@ -9,10 +9,11 @@ just after each jump are derived from its atom table.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil
+
+import numpy as np
 
 from . import weights
 from .errors import ChainKindError, WindowExceeded
@@ -28,18 +29,29 @@ class JumpStep:
     ideal: MonomialIdeal
 
 
-@dataclass(frozen=True)
-class JumpSet:
-    """Sorted jump levels in (0, window)."""
+class JumpSet(weights._Table):
+    """Sorted jump levels keys / denom in (0, window), distinct."""
 
-    values: tuple[Fraction, ...]
-    window: Fraction
-    periodic_tail: bool = False
+    __slots__ = ("window", "periodic_tail")
+
+    def __init__(self, denom: int, keys: np.ndarray, window: Fraction,
+                 periodic_tail: bool = False):
+        window = Fraction(window)
+        keys = np.asarray(keys, dtype=np.int64)
+        if np.any(keys[1:] <= keys[:-1]):
+            raise ValueError("jump levels must be distinct and ascending")
+        self._set(denom, keys, 0, weights._cut(window, denom),
+                  f"jump level {{}} outside (0, {window})",
+                  window=window, periodic_tail=periodic_tail)
+
+    @property
+    def values(self) -> tuple[Fraction, ...]:
+        return tuple(self._fractions())
 
     def to_json(self) -> dict:
         return {
             "window": str(self.window),
-            "values": [str(v) for v in self.values],
+            "values": self.value_strings(),
             "periodic_tail": self.periodic_tail,
         }
 
@@ -85,9 +97,7 @@ class JumpChain:
 
     @property
     def levels(self) -> tuple[Fraction, ...]:
-        if self._steps is None:
-            return weights.achieved_levels(self.model, self.window)
-        return tuple(s.level for s in self._steps)
+        return jumpset_of(self).values
 
     def _check_window(self, alpha: Fraction) -> Fraction:
         alpha = Fraction(alpha)
@@ -168,28 +178,30 @@ def graded_at(chain: JumpChain, alpha: Fraction) -> QuotientBasis:
 
 
 def jumpset_of(chain: JumpChain) -> JumpSet:
-    return JumpSet(values=chain.levels, window=chain.window)
+    model = chain.model
+    return JumpSet(model.denom, weights._levels_below(model, chain.window), chain.window)
 
 
 def usual_jumpset(microlocal: JumpSet, window: Fraction) -> JumpSet:
     """Jump set of the usual multiplier chain from the microlocal one.
 
     Below 1 the two sets agree, 1 is always a jump, and beyond 1 the set
-    repeats with period 1.
+    repeats with period 1: over the denominator D, the base (the microlocal
+    keys below D, then D) shifted by s·D for s = 0, 1, .., cut at the window.
     """
     window = Fraction(window)
     if microlocal.window < 1:
         raise WindowExceeded("need the microlocal jump set at least on (0, 1)")
-    # the microlocal values are sorted and distinct, so base is too, and lies in
-    # (0, 1]: shift s places it in (s, s + 1], and shift by shift is ascending
-    base = [v for v in microlocal.values if v < 1] + [Fraction(1)]
-    last = ceil(window) - 1  # the last shift; all of base + s is below the window before it
-    k = bisect_left(base, window - last)
-    n = last * len(base) + k  # a Fraction is ~200 bytes
-    weights._admit(200 * n, f"jump set below {window}: {n} values as Fractions")
-    values = tuple(v + shift for shift in range(last + 1)
-                   for v in (base if shift < last else base[:k]))
-    return JumpSet(values=values, window=window, periodic_tail=True)
+    denom, keys = microlocal.denom, microlocal.keys
+    base = np.append(keys[:np.searchsorted(keys, denom)], denom)
+    last = ceil(window) - 1  # the last shift: for s < last, base + s·D is below the cut
+    cut = weights._cut(window, denom)
+    weights._admit_int64(cut + denom, "jump set below {} over denominator {}", window, denom)
+    n = last * len(base) + int(np.searchsorted(base, cut - last * denom))
+    # about 200 bytes a value once printed (188 measured)
+    weights._admit(200 * n, f"jump set below {window}: {n} values")
+    shifts = np.arange(last + 1, dtype=np.int64)[:, None] * denom
+    return JumpSet(denom, (base + shifts).ravel()[:n], window, periodic_tail=True)
 
 
 def periodic_extend(chain: JumpChain, alpha: Fraction) -> ScaledIdeal:

@@ -17,24 +17,15 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import repeat
-from math import gcd, lcm
+from math import lcm
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import ResourceLimit
 from .germs import Germ, alpha_tilde, milnor_number
 from .monomial import Rat
 from .oracles import enumerated_spectrum
-from .weights import _admit
-
-
-def _fits_int64(what: str, key_bound: int, count_bound: int) -> None:
-    """Refuse keys below key_bound or counts up to count_bound that int64 cannot hold."""
-    if key_bound >= 1 << 63 or count_bound >= 1 << 63:
-        raise ResourceLimit(f"{what}: keys below {key_bound} with counts up to "
-                            f"{count_bound} overflow 64-bit integers")
+from .weights import _admit, _admit_int64, _runs, _Table
 
 
 def _merge(keys: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -42,7 +33,7 @@ def _merge(keys: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray
     equal keys into runs, and np.add.reduceat sums each run."""
     order = np.argsort(keys, kind="stable")
     keys = keys[order]
-    starts = np.flatnonzero(np.diff(keys, prepend=keys[:1] - 1))
+    starts = _runs(keys)
     return keys[starts], np.add.reduceat(counts[order], starts)
 
 
@@ -53,11 +44,12 @@ def _pair_sum(keys_a: np.ndarray, counts_a: np.ndarray, keys_b: np.ndarray,
 
     Each pair's key is the sum of its two keys (reduced mod modulus when
     given) and its count the product of its two counts; pairs with equal
-    keys merge.  The keys, counts and sort index of all pairs, 24 bytes a
-    pair, are admitted before they are allocated.
+    keys merge.  The measured peak, 64 bytes a pair when no sums coincide
+    (keys, counts and sort index, both sorted, and the run starts, distinct
+    keys and summed counts), is admitted before anything is allocated.
     """
     n = len(keys_a) * len(keys_b)
-    _admit(24 * n, f"{what}: {len(keys_a)} x {len(keys_b)} = {n} term pairs")
+    _admit(64 * n, f"{what}: {len(keys_a)} x {len(keys_b)} = {n} term pairs")
     keys = np.add.outer(keys_a, keys_b).ravel()
     if modulus:
         keys %= modulus
@@ -84,34 +76,14 @@ def _parse(entries: Iterable[tuple[Rat, int]], what: str, span: int
     denom = lcm(*(v.denominator for v, _ in entries))
     keys = [v.numerator * (denom // v.denominator) for v, _ in entries]
     mults = [m for _, m in entries]
-    _fits_int64(what, span * denom, sum(mults))
+    _admit_int64(max(span * denom, sum(mults)), what)
     return denom, *_merge(np.array(keys, dtype=np.int64), np.array(mults, dtype=np.int64))
 
 
-class _Table:
-    """Exact multiset: the value keys[i] / denom has multiplicity counts[i].
+class _Multiset(_Table):
+    """A _Table whose value keys[i] / denom has the positive multiplicity counts[i]."""
 
-    keys are distinct int64 numerators in ascending order, counts are
-    positive int64, and denom is the least common denominator of the
-    values, so equal tables hold equal arrays.
-    """
-
-    __slots__ = ("denom", "keys", "counts")
-
-    def _set(self, denom: int, keys: np.ndarray, counts: np.ndarray,
-             low: int, high: int, outside: str) -> None:
-        """Store the table after checking low < key < high for every key."""
-        if len(keys) and not (low < keys[0] and keys[-1] < high):
-            bad = keys[0] if keys[0] <= low else keys[-1]
-            raise ValueError(outside.format(Fraction(int(bad), denom)))
-        g = gcd(denom, int(np.gcd.reduce(keys)))
-        keys = keys // g if g > 1 else keys
-        keys.flags.writeable = counts.flags.writeable = False
-        for name, value in (("denom", denom // g), ("keys", keys), ("counts", counts)):
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"{type(self).__name__} is immutable")
+    __slots__ = ("counts",)
 
     @property
     def total(self) -> int:
@@ -119,33 +91,17 @@ class _Table:
 
     @property
     def entries(self) -> tuple[tuple[Rat, int], ...]:
-        return tuple(zip(map(Fraction, self.keys.tolist(), repeat(self.denom)),
-                         self.counts.tolist()))
+        return tuple(zip(self._fractions(), self.counts.tolist()))
 
     def as_dict(self) -> dict[Rat, int]:
         return dict(self.entries)
-
-    def __eq__(self, other: object) -> bool:
-        return (type(other) is type(self) and self.denom == other.denom
-                and np.array_equal(self.keys, other.keys)
-                and np.array_equal(self.counts, other.counts))
-
-    def value_strings(self) -> list[str]:
-        """Each value as str(Fraction) prints it, made from the keys reduced
-        by their gcd with the denominator rather than from Fractions."""
-        g = np.gcd(self.keys, self.denom)
-        return [f"{p}/{q}" if q != 1 else str(p)
-                for p, q in zip((self.keys // g).tolist(), (self.denom // g).tolist())]
 
     def to_json(self) -> dict:
         return {"entries": [{self._name: v, "mult": m}
                             for v, m in zip(self.value_strings(), self.counts.tolist())]}
 
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}({self.to_json()})"
 
-
-class EigenTable(_Table):
+class EigenTable(_Multiset):
     """Finite multiplicity table with keys in (-1, 0]."""
 
     __slots__ = ()
@@ -154,10 +110,10 @@ class EigenTable(_Table):
     def __init__(self, entries: Iterable[tuple[Rat, int]] = (), *,
                  _table: tuple[int, np.ndarray, np.ndarray] | None = None):
         denom, keys, counts = _table or _parse(entries, "eigentable", 1)
-        self._set(denom, keys, counts, -denom, 1, "eigentable key {} outside (-1, 0]")
+        self._set(denom, keys, -denom, 1, "eigentable key {} outside (-1, 0]", counts=counts)
 
 
-class Spectrum(_Table):
+class Spectrum(_Multiset):
     """Multiset of rational exponents in the open interval (0, dim)."""
 
     __slots__ = ("dim",)
@@ -165,12 +121,9 @@ class Spectrum(_Table):
 
     def __init__(self, dim: int, entries: Iterable[tuple[Rat, int]] = (), *,
                  _table: tuple[int, np.ndarray, np.ndarray] | None = None):
-        object.__setattr__(self, "dim", dim)
         denom, keys, counts = _table or _parse(entries, "spectrum", dim)
-        self._set(denom, keys, counts, 0, dim * denom, f"spectrum entry {{}} outside (0, {dim})")
-
-    def __eq__(self, other: object) -> bool:
-        return super().__eq__(other) and self.dim == other.dim
+        self._set(denom, keys, 0, dim * denom, f"spectrum entry {{}} outside (0, {dim})",
+                  counts=counts, dim=dim)
 
     def to_json(self) -> dict:
         return {"dim": self.dim, **super().to_json()}
@@ -195,7 +148,7 @@ def phi_convolve(t1: EigenTable, t2: EigenTable) -> EigenTable:
     """
     denom = lcm(t1.denom, t2.denom)
     what = f"eigentable convolution over denominator {denom}"
-    _fits_int64(what, 2 * denom, t1.total * t2.total)
+    _admit_int64(max(2 * denom, t1.total * t2.total), what)
     keys, counts = _pair_sum(t1.keys * -(denom // t1.denom), t1.counts,
                              t2.keys * -(denom // t2.denom), t2.counts, what, modulus=denom)
     _admit_entries(len(keys), what)
@@ -221,7 +174,7 @@ def spectrum_of(germ: Germ) -> Spectrum:
     ms = germ.exponents
     denom = lcm(*ms)
     what = f"spectrum of {ms}"
-    _fits_int64(what, germ.dim * denom, milnor_number(germ))
+    _admit_int64(max(germ.dim * denom, milnor_number(germ)), what)
     keys = counts = None
     for m in ms:
         _admit(16 * (m - 1), f"{what}: one-variable table of {m - 1} terms")
@@ -237,7 +190,7 @@ def spectrum_convolve(s1: Spectrum, s2: Spectrum) -> Spectrum:
     denom = lcm(s1.denom, s2.denom)
     dim = s1.dim + s2.dim
     what = f"spectrum convolution over denominator {denom}"
-    _fits_int64(what, dim * denom, s1.total * s2.total)
+    _admit_int64(max(dim * denom, s1.total * s2.total), what)
     keys, counts = _pair_sum(s1.keys * (denom // s1.denom), s1.counts,
                              s2.keys * (denom // s2.denom), s2.counts, what)
     _admit_entries(len(keys), what)

@@ -9,15 +9,17 @@ filtration of a sum of germs in disjoint variables is computed by pairing
 atoms and adding weights.
 
 Weights are stored as int64 numerators over a common denominator so that
-numpy does all comparisons exactly.
+numpy does all comparisons exactly.  _Table is the read-only form of a
+set of such values, shared by jump sets, spectra and eigentables.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
-from typing import Sequence
+from itertools import repeat
+from math import gcd, lcm
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -340,20 +342,72 @@ def quotient_exponents(model: WeightModel, alpha: Fraction,
     return tuple(map(tuple, model.exps[model.weight < t].tolist()))
 
 
-def achieved_levels(model: WeightModel, hi: Fraction) -> tuple[Fraction, ...]:
-    """Distinct weight values in (0, hi), sorted increasingly."""
-    return tuple(Fraction(v, model.denom) for v in _levels_below(model, hi).tolist())
-
-
 def _levels_below(model: WeightModel, hi: Fraction) -> np.ndarray:
     """Sorted distinct scaled weights in (0, hi)."""
     if hi > model.cap:
         raise WindowExceeded(f"window {hi} exceeds the model cap {model.cap}")
     weight = model.weight
-    # a sort, not np.unique: numpy 2.4's hashing unique took ~40x as long on
-    # the 4.5M weights of (997, 1009)
     vals = np.sort(weight[(weight > 0) & (weight < _cut(hi, model.denom))])
-    return vals[np.diff(vals, prepend=0) > 0]
+    return vals[_runs(vals)]
+
+
+def _runs(keys: np.ndarray) -> np.ndarray:
+    """Index of the first of each run of equal sorted keys: a sort and a diff
+    find distinct values ~40x faster than numpy 2.4's hashing np.unique."""
+    return np.flatnonzero(np.diff(keys, prepend=keys[:1] - 1))
+
+
+class _Table:
+    """Exact rationals keys[i] / denom, made Fractions only when read.
+
+    keys are distinct int64 numerators in ascending order and denom is the
+    values' least common denominator, so equal tables hold equal arrays.
+    Subclasses store the fields they add to __slots__ with _set.
+    """
+
+    __slots__ = ("denom", "keys")
+
+    def _set(self, denom: int, keys: np.ndarray, low: int, high: int, outside: str,
+             **fields: object) -> None:
+        """Store the table after checking low < key < high for every key; the
+        fields a subclass adds go through __setstate__."""
+        if len(keys) and not (low < keys[0] and keys[-1] < high):
+            bad = keys[0] if keys[0] <= low else keys[-1]
+            raise ValueError(outside.format(Fraction(int(bad), denom)))
+        g = gcd(denom, int(np.gcd.reduce(keys)))
+        keys = keys // g if g > 1 else keys
+        keys.flags.writeable = False
+        object.__setattr__(self, "denom", denom // g)
+        object.__setattr__(self, "keys", keys)
+        self.__setstate__((None, fields))
+
+    def __setstate__(self, state: tuple[None, dict]) -> None:
+        """Store the fields, arrays read-only; pickle and copy restore a table so."""
+        for name, value in state[1].items():
+            if type(value) is np.ndarray:
+                value.flags.writeable = False
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def _fractions(self) -> Iterator[Fraction]:
+        return map(Fraction, self.keys.tolist(), repeat(self.denom))
+
+    def value_strings(self) -> list[str]:
+        """Each value as str(Fraction) prints it, made from the keys reduced
+        by their gcd with the denominator rather than from Fractions."""
+        g = np.gcd(self.keys, self.denom)
+        return [f"{p}/{q}" if q != 1 else str(p)
+                for p, q in zip((self.keys // g).tolist(), (self.denom // g).tolist())]
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is type(self) and all(
+            np.array_equal(getattr(self, name), getattr(other, name))
+            for cls in type(self).__mro__ for name in getattr(cls, "__slots__", ()))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self.to_json()})"
 
 
 def models_equal(a: WeightModel, b: WeightModel) -> bool:

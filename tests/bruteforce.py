@@ -100,6 +100,12 @@ def bf_weight_levels(ms: Sequence[int], hi: Fraction,
     return sorted(s for s in sums if 0 < s < hi)
 
 
+def bf_sumset(s1, s2, window: Fraction) -> tuple[Fraction, ...]:
+    """Distinct sums below the window of the levels of two jump sets, as
+    Fractions."""
+    return tuple(sorted({a + b for a in s1.values for b in s2.values if a + b < window}))
+
+
 def bf_pair_sum_v(ms1: Sequence[int], ms2: Sequence[int],
                   alpha: Fraction) -> list[tuple[int, ...]]:
     """{weight >= alpha} of the joined germ via the split-level formula.

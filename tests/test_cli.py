@@ -1,6 +1,8 @@
+import argparse
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 import os
 import re
@@ -21,7 +23,8 @@ import tsmult
 from tsmult import cli
 from tsmult.cli import main, parse
 from tsmult.errors import GermParseError
-from tsmult.germs import Germ
+from tsmult.filtration import jumpset_of, usual_jumpset
+from tsmult.germs import Germ, diagonal_microlocal_chain
 
 
 def _schema(name):
@@ -140,6 +143,20 @@ def test_cmd_jc(capsys):
     assert out.split() == ["5/6", "1", "11/6"]
 
 
+@pytest.mark.parametrize("d,top", [(1, 13), (2, 10), (3, 7), (4, 5)])
+def test_jc_spectrum_route_matches_weight_model(d, top):
+    # jc reads its jumps below 1 off the spectrum; the weight model's
+    # microlocal levels are the independent route to the same lines
+    windows = (F(1, 7), F(5, 6), F(1), F(3, 2), F(2), F(7, 3))
+    for ms in itertools.product(range(2, top), repeat=d):
+        germ = "+".join(f"x{j}^{m}" for j, m in enumerate(ms))
+        micro = jumpset_of(diagonal_microlocal_chain(Germ(ms), window=F(1)))
+        for window in windows:
+            args = argparse.Namespace(germ=germ, window=window, json=False)
+            want = [str(v) for v in usual_jumpset(micro, window).values]
+            assert cli.cmd_jc(args) == (0, want), (ms, window)
+
+
 def test_cmd_jc_json_schema(capsys):
     code, out, _ = _run(capsys, ["jc", "--json", "--window", "3",
                                  "z1^2 + z2^3"])
@@ -230,10 +247,12 @@ def test_exit_code_oversized_input_refused(capsys, argv, size):
     ["ideal", "--alpha", "1/2", "a^1291+b^1297+c^1301+d^1303+e^1307+f^1319"],
 ])
 def test_exit_code_int64_overflow_refused(capsys, monkeypatch, argv):
+    # jc reads the spectrum, the other commands build a weight model
     monkeypatch.delenv("TSMULT_WINDOW", raising=False)
     code, out, err = _run(capsys, argv)
+    table = "spectrum" if argv[0] == "jc" else "weight model"
     assert code == 2 and out == ""
-    assert err.count("\n") == 1 and err.startswith("error: weight model of (1291, ")
+    assert err.count("\n") == 1 and err.startswith(f"error: {table} of (1291, ")
     assert err.endswith("overflow 64-bit integers\n")
 
 
@@ -397,7 +416,8 @@ for argv in json.loads(sys.argv[1]):
 
 def test_thousand_power_germ_under_memory_cap():
     # the seven germ commands on one oversized germ, in one child under a
-    # 1 GiB cap: the spectral commands answer, the weight-model ones refuse
+    # 1 GiB cap: the spectral commands, jc among them, answer; the
+    # weight-model ones refuse
     germ, limit = "x^1000+y^1000+z^1000+w^1000", 1 << 30
     argvs = [[command, *(["--alpha=1/2"] if "alpha" in flags else []), germ]
              for command, flags in _GERM_COMMANDS.items()]
@@ -409,7 +429,7 @@ def test_thousand_power_germ_under_memory_cap():
     results = dict(zip((argv[0] for argv in argvs), map(json.loads, proc.stdout.splitlines())))
     assert results.keys() == _GERM_COMMANDS.keys()
     for command, (code, out_chars, err) in results.items():
-        if command in ("lct", "spectrum", "eigen"):
+        if command in ("lct", "spectrum", "eigen", "jc"):
             assert code == 0 and out_chars > 0 and err == "", (command, err)
         else:
             assert code == 2 and out_chars == 0, (command, err)
@@ -446,6 +466,25 @@ def test_memory_band_under_cap_exits_in_one_line():
         assert "Traceback" not in err and err.count("\n") <= 1, (argv, err)
         if code == 2:
             assert out_chars == 0 and err.startswith("error: "), (argv, err)
+
+
+def test_pair_sums_refused_before_allocating_under_cap():
+    # each pair sum is admitted at its measured peak, so these end in a
+    # refusal, not in numpy's out-of-memory error part way through
+    germ, limit = "x^300+y^301+z^302", 1 << 30
+    argvs = [["spectrum", germ], ["eigen", germ], ["jc", germ]]
+    proc = subprocess.run(
+        [sys.executable, "-c", _CHILD_COMMANDS, json.dumps(argvs)],
+        capture_output=True, text=True, env=_child_env(), timeout=120,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
+    assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+    results = [json.loads(line) for line in proc.stdout.splitlines()]
+    assert len(results) == len(argvs)
+    for argv, (code, out_chars, err) in zip(argvs, results):
+        assert (code, out_chars, err.count("\n")) == (2, 0, 1), (argv, err)
+        assert "89700 x 301 = 26999700 term pairs" in err, (argv, err)
+        if argv[0] != "eigen":
+            assert err.startswith("error: spectrum of (300, 301, 302): "), (argv, err)
 
 
 def test_memory_error_without_message_is_one_line(capsys, monkeypatch):

@@ -2,19 +2,20 @@ import itertools
 import math
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
 from tsmult.convolution import (alpha_one_sequence_check, irrationality_dim,
                                 irrationality_module, ts_convolve_chains,
                                 ts_graded, ts_jumpset, ts_lct, ts_multiplier)
-from tsmult.errors import ChainKindError, NotReduced, WindowExceeded
-from tsmult.filtration import jumpset_of, periodic_extend, v_lookup, v_to_j
+from tsmult.errors import ChainKindError, NotReduced, ResourceLimit, WindowExceeded
+from tsmult.filtration import JumpSet, jumpset_of, periodic_extend, v_lookup, v_to_j
 from tsmult.germs import (Germ, diagonal_microlocal_chain, diagonal_usual_chain,
                           lct, one_var_microlocal_chain)
-from tsmult.weights import achieved_levels, generators_at
+from tsmult.weights import generators_at
 
 from bruteforce import (bf_diagonal_gens, bf_irrationality_basis, bf_micro_weight,
-                        bf_pair_sum_v, bf_ts_graded)
+                        bf_pair_sum_v, bf_sumset, bf_ts_graded)
 
 
 def test_convolve_pairs_match_direct():
@@ -36,7 +37,7 @@ def test_swept_steps_match_point_lookups(ms, cut):
 
     chain = convolved()
     steps = chain.steps
-    assert tuple(s.level for s in steps) == achieved_levels(chain.model, window)
+    assert tuple(s.level for s in steps) == jumpset_of(chain).values
     for s in steps:
         assert s.ideal == generators_at(chain.model, s.level, strict=True), s.level
     # a J-view made before any sweep materialises the same steps
@@ -129,6 +130,32 @@ def test_ts_jumpset():
     assert trimmed.values == tuple(v for v in direct.values if v < 1)
 
 
+@pytest.mark.parametrize("ms1,ms2", [((2,), (3,)), ((4, 5), (3,)), ((2, 2), (2, 3)),
+                                     ((7,), (5, 6)), ((3, 4, 5), (2,))])
+def test_ts_jumpset_matches_fraction_sumset(ms1, ms2):
+    # factor windows 2 and 3/2, the default (largest) window and cuts on
+    # and off the levels' lattice; a factor with no levels below 1/7 gives none
+    s1 = jumpset_of(diagonal_microlocal_chain(Germ(ms1), window=F(2)))
+    s2 = jumpset_of(diagonal_microlocal_chain(Germ(ms2), window=F(3, 2)))
+    top = ts_jumpset(s1, s2).window
+    assert ts_jumpset(s1, s2).values == bf_sumset(s1, s2, top)
+    for window in (F(1, 7), F(5, 6), F(1), F(3, 2), F(2)):
+        if window > top:
+            with pytest.raises(WindowExceeded):
+                ts_jumpset(s1, s2, window)
+        else:
+            assert ts_jumpset(s1, s2, window).values == bf_sumset(s1, s2, window), window
+    empty = jumpset_of(diagonal_microlocal_chain(Germ(ms1), window=F(1, 7)))
+    assert ts_jumpset(empty, s2).values == ()
+
+
+def test_ts_jumpset_refuses_before_forming_pairs():
+    # about 5e9 of the 1e10 pairs of levels i / 10^5 lie below the window
+    levels = JumpSet(10**5, np.arange(1, 10**5 + 1, dtype=np.int64), F(2))
+    with pytest.raises(ResourceLimit, match="jump sums of 100000 x 100000 levels"):
+        ts_jumpset(levels, levels)
+
+
 def test_ts_lct():
     assert ts_lct(F(1, 2), F(1, 3)) == F(5, 6)
     assert ts_lct(F(1, 2), F(1, 2)) == F(1)
@@ -194,6 +221,20 @@ def test_irrationality_goldens():
     assert set(basis.exponents) == {(0, 0), (0, 1), (1, 0)}
     with pytest.raises(NotReduced):
         irrationality_module(Germ((5,)))
+    with pytest.raises(NotReduced):
+        irrationality_dim(Germ((5,)))
+
+
+@pytest.mark.parametrize("d,top", [(2, 10), (3, 7), (4, 5), (5, 4)])
+def test_irrationality_dim_counts_spectrum_to_one(d, top):
+    # the spectral count against the weight model's atoms of weight <= 1
+    for ms in itertools.product(range(2, top), repeat=d):
+        assert irrationality_dim(Germ(ms)) == irrationality_module(Germ(ms)).dim, ms
+
+
+def test_irrationality_dim_past_the_model_limit():
+    # the cap-3 weight model of this germ has 37,966,752 atoms and is refused
+    assert irrationality_dim(Germ((200, 205, 209))) == 1396960
 
 
 @pytest.mark.parametrize("d,top", [(2, 10), (3, 10), (4, 6)])

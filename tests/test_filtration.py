@@ -2,10 +2,11 @@ import itertools
 import math
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
-from tsmult.errors import ChainKindError, WindowExceeded
-from tsmult.filtration import (JumpChain, JumpStep, chain_from_model, graded_at,
+from tsmult.errors import ChainKindError, ResourceLimit, WindowExceeded
+from tsmult.filtration import (JumpChain, JumpSet, JumpStep, chain_from_model, graded_at,
                                j_lookup, jumpset_of, periodic_extend,
                                usual_jumpset, v_lookup, v_to_j)
 from tsmult.germs import (Germ, diagonal_microlocal_chain, diagonal_usual_chain,
@@ -123,6 +124,33 @@ def test_usual_jumpset_matches_sorted_construction(ms):
     for window in (F(1, 7), F(5, 6), F(1), F(3, 2), F(2), F(7, 3), F(4)):
         want = sorted(v + shift for v in base for shift in range(math.ceil(window - v)))
         assert usual_jumpset(micro, window).values == tuple(want), window
+
+
+def test_jumpset_table_is_canonical_and_read_only():
+    # 10/12 and 12/12 reduce to 5/6 and 1 over the least denominator
+    table = JumpSet(12, np.array([10, 12]), F(3))
+    assert table == JumpSet(6, np.array([5, 6]), F(3))
+    assert (table.denom, table.keys.tolist(), table.values) == (6, [5, 6], (F(5, 6), F(1)))
+    assert table != JumpSet(6, np.array([5, 6]), F(3), periodic_tail=True)
+    assert table != JumpSet(6, np.array([5, 6]), F(2))
+    assert table.to_json() == {"window": "3", "values": ["5/6", "1"], "periodic_tail": False}
+    assert JumpSet(7, np.array([], dtype=np.int64), F(1)).denom == 1
+    with pytest.raises(ValueError):
+        table.keys[0] = 1
+    with pytest.raises(AttributeError):
+        table.window = F(1)
+    with pytest.raises(ValueError, match="outside"):
+        JumpSet(6, np.array([5, 18]), F(3))
+    with pytest.raises(ValueError, match="distinct and ascending"):
+        JumpSet(6, [6, 5], F(3))
+    assert JumpSet(6, [5, 6], F(3)) == table  # any integer sequence
+
+
+def test_usual_jumpset_refuses_int64_overflow():
+    # shifts up to the window times a denominator of 2^61 pass 2^63
+    micro = JumpSet(1 << 61, np.array([1], dtype=np.int64), F(1))
+    with pytest.raises(ResourceLimit, match="64-bit"):
+        usual_jumpset(micro, F(5))
 
 
 def test_usual_jumpset_needs_full_first_window():

@@ -1,4 +1,6 @@
+import copy
 import itertools
+import pickle
 from fractions import Fraction as F
 from math import lcm
 
@@ -9,12 +11,13 @@ from hypothesis import strategies as st
 
 from tsmult import weights
 from tsmult.errors import ResourceLimit, WindowExceeded
-from tsmult.germs import Germ, alpha_tilde
+from tsmult.filtration import MICROLOCAL, chain_from_model, jumpset_of, usual_jumpset
+from tsmult.germs import Germ, alpha_tilde, diagonal_microlocal_chain
+from tsmult.spectral import fold_spectrum, spectrum_of
 from tsmult.monomial import MonomialIdeal
 from tsmult.oracles import _canonical, box_model
-from tsmult.weights import (_one_var_scaled, achieved_levels, convolve,
-                            diagonal_model, generators_at, graded_exponents,
-                            models_equal, rescaled)
+from tsmult.weights import (_one_var_scaled, convolve, diagonal_model, generators_at,
+                            graded_exponents, models_equal, rescaled)
 
 from bruteforce import (bf_diagonal_gens, bf_micro_weight, bf_permuted_atoms,
                         bf_usual_weight, bf_weight_levels)
@@ -242,7 +245,7 @@ def test_level_cuts_do_not_overflow():
     # levels times a denominator of 10^18 would pass 2^63
     hi = 1 + F(1, 10**18)
     model = diagonal_model((2, 3), cap=hi + 2)
-    assert achieved_levels(model, hi) == (F(5, 6),)
+    assert jumpset_of(chain_from_model(model, hi, "V", MICROLOCAL)).values == (F(5, 6),)
     assert [level for level, _ in weights._strict_steps(model, hi)] == [F(5, 6)]
 
 
@@ -254,9 +257,26 @@ def test_convolve_cap_shrinks_to_smallest():
 
 
 def test_achieved_levels_match_bruteforce():
+    # the jump set and the chain's levels read the model; the steps sweep it
     for ms in [(3,), (2, 3), (2, 2), (3, 4), (2, 3, 4)]:
-        model = diagonal_model(ms, cap=F(3))
-        assert list(achieved_levels(model, F(2))) == bf_weight_levels(ms, F(2))
+        chain = diagonal_microlocal_chain(Germ(ms), window=F(2))
+        want = bf_weight_levels(ms, F(2))
+        assert list(jumpset_of(chain).values) == want
+        assert list(chain.levels) == want
+        assert [s.level for s in chain.steps] == want
+
+
+def test_tables_survive_pickle_and_copy():
+    # a table's fields are stored past its __setattr__; a restored copy is
+    # equal and as read-only as the original
+    spectrum = spectrum_of(Germ((2, 3, 4)))
+    micro = jumpset_of(diagonal_microlocal_chain(Germ((2, 3)), window=F(1)))
+    for table in (usual_jumpset(micro, F(3)), spectrum, fold_spectrum(spectrum)):
+        for restored in (pickle.loads(pickle.dumps(table)), copy.deepcopy(table)):
+            assert restored == table and type(restored) is type(table)
+            assert not restored.keys.flags.writeable
+            with pytest.raises(AttributeError):
+                restored.denom = 1
 
 
 def test_graded_exponents_counts():
