@@ -142,6 +142,11 @@ def test_criterion_6_alpha_one_sequence():
                 assert report.g_tilde_dim == report.paired_g_tilde_dim
                 assert report.irrationality_dim == (report.v_one_cokernel_dim
                                                     + report.g_tilde_dim)
+                # a third route: the colength of the ideal just below 1 is the
+                # number of spectral numbers < 1 (Budur 2003, Steenbrink 1977)
+                whole = spectrum_of(Germ(ms1 + ms2))
+                assert report.v_one_cokernel_dim == sum(
+                    mult for value, mult in whole.entries if value < 1), (ms1, ms2)
                 checked += 1
     print(f"PASS criterion 6: alpha = 1 sequence bookkeeping on "
           f"{checked} germ splits (all d <= 3, exponents in [2,5])")

@@ -445,7 +445,7 @@ _MEMORY_BAND = [
     ["graded", "--alpha=1", "x^100+y^101+z^102"],
     ["graded", "--alpha=1", "x^120+y^121+z^122"],
     ["irrationality", "x^140+y^141+z^142"],
-    ["jc", "x^180+y^181+z^182"],
+    ["irrationality", "x^180+y^181+z^182"],
     ["ideal", "--alpha=1/2", "x^2000+y^2001"],
     ["irrationality", "x^50+y^51+z^52+w^53"],
 ]
