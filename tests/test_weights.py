@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from tsmult import weights
 from tsmult.errors import ResourceLimit, WindowExceeded
-from tsmult.filtration import MICROLOCAL, chain_from_model, jumpset_of, usual_jumpset
+from tsmult.filtration import MICROLOCAL, JumpChain, jumpset_of, usual_jumpset
 from tsmult.germs import Germ, alpha_tilde, diagonal_microlocal_chain
 from tsmult.spectral import fold_spectrum, spectrum_of
 from tsmult.monomial import MonomialIdeal
@@ -245,7 +245,7 @@ def test_level_cuts_do_not_overflow():
     # levels times a denominator of 10^18 would pass 2^63
     hi = 1 + F(1, 10**18)
     model = diagonal_model((2, 3), cap=hi + 2)
-    assert jumpset_of(chain_from_model(model, hi, "V", MICROLOCAL)).values == (F(5, 6),)
+    assert jumpset_of(JumpChain(model, "V", MICROLOCAL, hi)).values == (F(5, 6),)
     assert [level for level, _ in weights._strict_steps(model, hi)] == [F(5, 6)]
 
 
