@@ -44,16 +44,23 @@ def _pair_sum(keys_a: np.ndarray, counts_a: np.ndarray, keys_b: np.ndarray,
 
     Each pair's key is the sum of its two keys (reduced mod modulus when
     given) and its count the product of its two counts; pairs with equal
-    keys merge.  The measured peak, 64 bytes a pair when no sums coincide
-    (keys, counts and sort index, both sorted, and the run starts, distinct
-    keys and summed counts), is admitted before anything is allocated.
+    keys merge.  Each array is released as soon as the next one is made
+    from it, so at most four pair-sized int64 arrays are alive at once.
+    The measured peak when no sums coincide, 32 bytes a pair and about
+    2 kB more, is admitted at 33 bytes a pair before anything is allocated.
     """
     n = len(keys_a) * len(keys_b)
-    _admit(64 * n, f"{what}: {len(keys_a)} x {len(keys_b)} = {n} term pairs")
+    _admit(33 * n, f"{what}: {len(keys_a)} x {len(keys_b)} = {n} term pairs")
     keys = np.add.outer(keys_a, keys_b).ravel()
     if modulus:
         keys %= modulus
-    return _merge(keys, np.multiply.outer(counts_a, counts_b).ravel())
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    counts = np.multiply.outer(counts_a, counts_b).ravel()[order]
+    del order
+    starts = _runs(keys)
+    counts = np.add.reduceat(counts, starts)
+    return keys[starts], counts
 
 
 def _parse(entries: Iterable[tuple[Rat, int]], what: str, span: int

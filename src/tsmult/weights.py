@@ -252,11 +252,15 @@ def generators_at(model: WeightModel, alpha: Fraction, strict: bool) -> Monomial
 
 
 def _strict_steps(model: WeightModel, hi: Fraction
-                 ) -> tuple[tuple[Fraction, MonomialIdeal], ...]:
-    """Every achieved level v in (0, hi) with the minimal generators of {w > v}.
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The step table of the chain of {w > v} for the achieved levels v in (0, hi).
 
-    Equal, level by level, to pairing achieved_levels(model, hi) with
-    generators_at(model, v, strict=True), but computed in one pass.
+    Four integer arrays: keys, the levels' numerators over model.denom,
+    ascending; offsets, one per level plus one; used, the rows of the atoms
+    that are ever a generator, ascending; and pairs, one per (level,
+    generator) pair, grouped by level, an index into used.  The minimal
+    generators of {w > keys[i] / denom} are the rows
+    model.exps[used[pairs[offsets[i]:offsets[i + 1]]]], in lex order.
 
     Invariant: an atom g is a minimal generator of {w > v} exactly when
     drop(g) <= v < w(g).  Proof: w is monotone, so {w > v} is an upward
@@ -270,33 +274,27 @@ def _strict_steps(model: WeightModel, hi: Fraction
     below a window that filtration.JumpChain admits for the model.
 
     Each atom is therefore a generator on a contiguous run of level
-    indices, [searchsorted(drop), searchsorted(weight)), and the steps
-    are the (level, atom) pairs of those runs, grouped by level.  The
-    work is O(atoms log levels + total generators); only atoms that are
-    ever a generator become tuples, each once, shared across steps.
+    indices, [searchsorted(drop), searchsorted(weight)), and the pairs
+    are those runs regrouped by level.  The work is O(atoms log levels +
+    total generators), and no Python object is made per level.
     """
-    levels = _levels_below(model, hi)
-    if not len(levels):
-        return ()
-    first = np.searchsorted(levels, model.drop, side="left")
-    runs = np.maximum(np.searchsorted(levels, model.weight, side="left") - first, 0)
+    keys = _levels_below(model, hi)
+    first = np.searchsorted(keys, model.drop, side="left")
+    runs = np.maximum(np.searchsorted(keys, model.weight, side="left") - first, 0)
     used = np.flatnonzero(runs)
     runs = runs[used]
-    # level index of each (level, atom) pair: the atom's first level plus
-    # its offset within the run; atoms are in lex order, and the stable
-    # sort keeps that order inside each level, as MonomialIdeal needs
+    # one int64 key per (level, atom) pair, level * n + the atom's index into
+    # used, below levels * atoms < 2^63; an atom's level is its first level
+    # plus its offset within its run.  Sorting the keys groups the pairs by
+    # level, with the atoms in lex order inside each
+    n = len(used)
     starts = np.cumsum(runs) - runs
-    pair_level = (np.repeat(first[used] - starts, runs)
-                  + np.arange(int(runs.sum()), dtype=np.int64))
-    order = np.argsort(pair_level, kind="stable")
-    pair_atom = np.repeat(np.arange(len(used)), runs)[order]
-    bounds = np.searchsorted(pair_level[order], np.arange(len(levels) + 1)).tolist()
-    gens = np.fromiter(map(tuple, model.exps[used].tolist()), dtype=object, count=len(used))
-    pair_gens = gens[pair_atom].tolist()
-    return tuple(
-        (Fraction(v, model.denom),
-         MonomialIdeal(model.dim, tuple(pair_gens[bounds[i]:bounds[i + 1]]), _trusted=True))
-        for i, v in enumerate(levels.tolist()))
+    pair = np.repeat((first[used] - starts) * n + np.arange(n), runs)
+    pair += n * np.arange(int(runs.sum()), dtype=np.int64)
+    pair.sort()
+    pairs = pair % n
+    offsets = np.searchsorted(pair, np.arange(len(keys) + 1) * n)
+    return keys, offsets, used, pairs
 
 
 def graded_exponents(model: WeightModel, alpha: Fraction) -> tuple[tuple[int, ...], ...]:

@@ -485,7 +485,7 @@ def test_memory_band_under_cap_exits_in_one_line():
 def test_pair_sums_refused_before_allocating_under_cap():
     # each pair sum is admitted at its measured peak, so these end in a
     # refusal, not in numpy's out-of-memory error part way through
-    germ, limit = "x^300+y^301+z^302", 1 << 30
+    germ, limit = "x^330+y^331+z^332", 1 << 30
     argvs = [["spectrum", germ], ["eigen", germ], ["jc", germ]]
     proc = subprocess.run(
         [sys.executable, "-c", _CHILD_COMMANDS, json.dumps(argvs)],
@@ -496,9 +496,9 @@ def test_pair_sums_refused_before_allocating_under_cap():
     assert len(results) == len(argvs)
     for argv, (code, out_chars, err) in zip(argvs, results):
         assert (code, out_chars, err.count("\n")) == (2, 0, 1), (argv, err)
-        assert "89700 x 301 = 26999700 term pairs" in err, (argv, err)
+        assert "108570 x 331 = 35936670 term pairs" in err, (argv, err)
         if argv[0] != "eigen":
-            assert err.startswith("error: spectrum of (300, 301, 302): "), (argv, err)
+            assert err.startswith("error: spectrum of (330, 331, 332): "), (argv, err)
 
 
 def test_memory_error_without_message_is_one_line(capsys, monkeypatch):

@@ -1,7 +1,9 @@
 import functools
 import itertools
+import tracemalloc
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -217,6 +219,28 @@ def test_int64_overflow_refused():
         EigenTable(((F(-1, 1 << 63), 1),))
     with pytest.raises(ResourceLimit, match="64-bit"):
         Spectrum(2, ((F(1), 1 << 63),))
+
+
+@pytest.mark.parametrize("modulus", [0, 1 << 40])
+def test_pair_sum_peak_within_admitted_bytes(monkeypatch, modulus):
+    # admission must never undercount: a pair sum of 1.2M distinct sums,
+    # given in descending order so the sort moves every pair, peaks within
+    # the bytes it admitted
+    admitted = []
+    monkeypatch.setattr(spectral, "_admit", lambda nbytes, what: admitted.append(nbytes))
+    keys_a = np.arange(1000, dtype=np.int64)[::-1] * 1200
+    keys_b = np.arange(1200, dtype=np.int64)[::-1]
+    counts_a, counts_b = np.ones(1000, dtype=np.int64), np.full(1200, 2, dtype=np.int64)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        keys, counts = spectral._pair_sum(keys_a, counts_a, keys_b, counts_b, "probe", modulus)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert len(keys) == 1_200_000 and keys[0] == 0 and counts.sum() == 2_400_000
+    assert admitted == [33 * 1_200_000]
+    assert peak <= admitted[0], peak / 1_200_000
 
 
 def test_enumeration_mismatch_fails_the_check(monkeypatch):

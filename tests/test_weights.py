@@ -246,7 +246,7 @@ def test_level_cuts_do_not_overflow():
     hi = 1 + F(1, 10**18)
     model = diagonal_model((2, 3), cap=hi + 2)
     assert jumpset_of(JumpChain(model, "V", MICROLOCAL, hi)).values == (F(5, 6),)
-    assert [level for level, _ in weights._strict_steps(model, hi)] == [F(5, 6)]
+    assert [s.level for s in JumpChain(model, "V", MICROLOCAL, hi).steps] == [F(5, 6)]
 
 
 def test_convolve_cap_shrinks_to_smallest():
