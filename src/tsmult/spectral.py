@@ -28,13 +28,25 @@ from .oracles import enumerated_spectrum
 from .weights import _admit, _admit_int64, _runs, _Table
 
 
-def _merge(keys: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct keys ascending with summed counts: one stable argsort groups
-    equal keys into runs, and np.add.reduceat sums each run."""
+def _merge(keys: np.ndarray, counts: np.ndarray, modulus: int = 0
+           ) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct keys ascending with summed counts: keys are reduced mod
+    modulus in place when given, one stable argsort groups equal keys into
+    runs, and np.add.reduceat sums each run.
+
+    Each array is dropped as soon as the next one is made from it, so when
+    the caller keeps no reference to keys and counts, at most four arrays
+    of their length are alive at once.
+    """
+    if modulus:
+        keys %= modulus
     order = np.argsort(keys, kind="stable")
     keys = keys[order]
+    counts = counts[order]
+    del order
     starts = _runs(keys)
-    return keys[starts], np.add.reduceat(counts[order], starts)
+    counts = np.add.reduceat(counts, starts)
+    return keys[starts], counts
 
 
 def _pair_sum(keys_a: np.ndarray, counts_a: np.ndarray, keys_b: np.ndarray,
@@ -44,23 +56,14 @@ def _pair_sum(keys_a: np.ndarray, counts_a: np.ndarray, keys_b: np.ndarray,
 
     Each pair's key is the sum of its two keys (reduced mod modulus when
     given) and its count the product of its two counts; pairs with equal
-    keys merge.  Each array is released as soon as the next one is made
-    from it, so at most four pair-sized int64 arrays are alive at once.
-    The measured peak when no sums coincide, 32 bytes a pair and about
+    keys merge.  The pair arrays go to _merge with no other reference, so
+    the measured peak when no sums coincide, 32 bytes a pair and about
     2 kB more, is admitted at 33 bytes a pair before anything is allocated.
     """
     n = len(keys_a) * len(keys_b)
     _admit(33 * n, f"{what}: {len(keys_a)} x {len(keys_b)} = {n} term pairs")
-    keys = np.add.outer(keys_a, keys_b).ravel()
-    if modulus:
-        keys %= modulus
-    order = np.argsort(keys, kind="stable")
-    keys = keys[order]
-    counts = np.multiply.outer(counts_a, counts_b).ravel()[order]
-    del order
-    starts = _runs(keys)
-    counts = np.add.reduceat(counts, starts)
-    return keys[starts], counts
+    return _merge(np.add.outer(keys_a, keys_b).ravel(),
+                  np.multiply.outer(counts_a, counts_b).ravel(), modulus)
 
 
 def _parse(entries: Iterable[tuple[Rat, int]], what: str, span: int

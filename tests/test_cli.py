@@ -501,6 +501,21 @@ def test_pair_sums_refused_before_allocating_under_cap():
             assert err.startswith("error: spectrum of (330, 331, 332): "), (argv, err)
 
 
+def test_admitted_pair_sum_fits_under_cap():
+    # 89700 x 301 = 26999700 pairs pass admission at 33 B a pair, and the
+    # pair sum does fit in 1 GiB: the command gets past it to the charge
+    # on reading the values
+    limit = 1 << 30
+    proc = subprocess.run(
+        [sys.executable, "-c", _CHILD_COMMANDS, json.dumps([["spectrum", "x^300+y^301+z^302"]])],
+        capture_output=True, text=True, env=_child_env(), timeout=120,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
+    assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+    assert json.loads(proc.stdout) == [
+        2, 0, "error: spectrum of 20294700 distinct values as Python objects: 4058940000 bytes "
+              "(~3.8 GiB) is above the 1073741824-byte table limit\n"]
+
+
 def test_memory_error_without_message_is_one_line(capsys, monkeypatch):
     # Python's own MemoryError may carry no message; the line still ends cleanly
     def exhausted(germ):
