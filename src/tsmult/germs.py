@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm, prod
-from typing import Sequence
 
 from . import weights
 from .errors import GermUnsupported, WindowExceeded
@@ -88,17 +87,9 @@ def ts_sum(left: Germ, right: Germ) -> Germ:
                 left.coefficients + right.coefficients)
 
 
-def diagonal_weight_sum(germ: Germ, nu: Sequence[int]) -> Rat:
-    """Sum of per-variable microlocal weights of the exponent nu."""
-    nu = tuple(nu)
-    if len(nu) != germ.dim:
-        raise ValueError(f"exponent {nu} has {len(nu)} coords, expected {germ.dim}")
-    return sum((one_var_weight(m, k) for m, k in zip(germ.exponents, nu)), Fraction(0))
-
-
 def diagonal_microlocal_chain(germ: Germ, window: Fraction = DEFAULT_WINDOW) -> JumpChain:
     """Left-continuous microlocal chain: membership of z^nu at level a
-    is diagonal_weight_sum(nu) >= a."""
+    is sum_j w(m_j, nu_j) >= a, with w the one-variable microlocal weight."""
     window = Fraction(window)
     return JumpChain(weights.diagonal_model(germ.exponents, cap=window + 2),
                      "V", MICROLOCAL, window)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -80,6 +81,11 @@ class MonomialIdeal:
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("MonomialIdeal is immutable")
+
+    def __reduce__(self) -> tuple:
+        # pickle and copy rebuild through the constructor, not the slots,
+        # which __setattr__ refuses; the gens are canonical already
+        return partial(MonomialIdeal, _trusted=True), (self.dim, self.gens)
 
     @classmethod
     def unit(cls, dim: int) -> "MonomialIdeal":

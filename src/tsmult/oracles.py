@@ -110,8 +110,9 @@ def _canonical(dim: int, denom: int, cap: Fraction, exps: np.ndarray,
 def box_model(ms: Sequence[int], cap: Fraction, usual: bool = False) -> WeightModel:
     """weights.diagonal_model by enumerating the whole box ∏ len(table_j).
 
-    O(box) time and memory; kept as the independent route the pruned
-    column fold is checked against, never on the hot path.
+    O(box) time and memory; kept as the independent route the iterated
+    convolution of one-variable models is checked against, never on the
+    hot path.
     """
     ms = tuple(int(m) for m in ms)
     if any(m < 2 for m in ms):

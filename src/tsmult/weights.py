@@ -6,7 +6,9 @@ by its atoms: exponents g together with w(g) and the largest weight of a
 single-step decrement of g.  Minimal generators of V^a are then the atoms
 with drop < a <= weight, every achieved level is an atom weight, and the
 filtration of a sum of germs in disjoint variables is computed by pairing
-atoms and adding weights.
+atoms and adding weights.  A diagonal germ is such a sum of one-variable
+germs, so its model is the iterated pairing of one-variable models, and
+_pair is the one routine that pairs.
 
 Weights are stored as int64 numerators over a common denominator so that
 numpy does all comparisons exactly.  _Table is the read-only form of a
@@ -27,7 +29,7 @@ from .errors import ResourceLimit, WindowExceeded
 from .monomial import MonomialIdeal
 
 # drop value of the zero exponent, which has no decrements; below every
-# finite drop, and never shifted by a weight (see _shifted)
+# finite drop, and never shifted by a weight (see _pair)
 NO_DROP = -(1 << 60)
 
 # largest table, in bytes, a model build may allocate; larger inputs are
@@ -66,13 +68,6 @@ def _admit_int64(top: int, what: str, *args) -> None:
     if top >= 1 << 63:
         raise ResourceLimit(f"{what.format(*args)}: values up to {top} "
                             "overflow 64-bit integers")
-
-
-def _shifted(drop: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """drop + w, with NO_DROP kept as it is."""
-    out = drop + w
-    out[drop == NO_DROP] = NO_DROP
-    return out
 
 
 def _cut(cap: Fraction, denom: int, strict: bool = False) -> int:
@@ -115,66 +110,35 @@ def _prefixes(counts: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
 def diagonal_model(ms: Sequence[int], cap: Fraction, usual: bool = False) -> WeightModel:
     """Model of the weight g ↦ Σ_j w(m_j, g_j) on the exponents where it is < cap.
 
-    Built by a pruned fold over the columns.  Invariant after column j:
-    the rows are the lex-sorted prefixes (g_0..g_j) whose weight plus
-    rest_j, the sum of t[0] over the later columns, is below the cap, plus
-    the zero prefix; each row carries its weight and the largest weight of
-    its single-step decrements.  Column j extends a row by the k with
-    t_j[k] below cap - weight - rest_j, a prefix of t_j because the table
-    increases strictly, so one searchsorted gives each row's count.  Runs
-    of a repeated row keep k ascending, so the rows stay lex-sorted with
-    no sort.  An extension's drop is max(drop + t_j[k], weight + t_j[k-1]):
-    a decrement in an earlier column, or in column j itself when k > 0.
-    The fold starts at column 0, whose rows are z^k with t_0[k] below
-    cap - rest_0 and drops t_0[k-1], so a one-variable model runs no
-    fold step.
-
-    Every kept prefix extends by zeros to a distinct final atom, so no
-    intermediate table is larger than the result and the work is
-    O(d · atoms), where enumerating the box ∏ len(t_j) was O(box).  The
-    atom count of each column is known before its rows are allocated, and
-    a table above MAX_TABLE_BYTES is refused with ResourceLimit.  So is
-    a model whose cut, cap * lcm(m), or whose zero exponent's weight does
-    not fit in int64: every other weight and drop is below the cut.
+    z1^m1 + ... + zd^md is an iterated Thom–Sebastiani sum, so its model
+    is the convolution of the one-variable models, folded left.  Pairing
+    with variable j keeps the prefixes whose weight plus rest, the z^0
+    weight of the later variables, is below the cap: each kept prefix
+    extends by zeros to a distinct final atom, so no intermediate model is
+    larger than the result.  A model whose cut, cap * lcm(m), or whose
+    zero exponent's weight does not fit in int64 is refused with
+    ResourceLimit: every other weight and drop is below the cut.
     """
     ms = tuple(int(m) for m in ms)
     if not ms or any(m < 2 for m in ms):
         raise ValueError("diagonal model needs one or more exponents, all >= 2")
-    dim = len(ms)
     denom = lcm(*ms)
-    bound = _cut(cap, denom)
-    _admit_int64(max(bound, sum(denom // m for m in ms)),
+    _admit_int64(max(_cut(cap, denom), sum(denom // m for m in ms)),
                  "weight model of {} below {}", ms, cap)
+    what = f"weight model of {ms} below {cap}"
     tables = [_one_var_scaled(m, cap, denom, usual) for m in ms]
+    factors = []
+    for t in tables:
+        n = len(t)
+        _admit(24 * n, f"{what} has {n} atoms")
+        factors.append(WeightModel(1, denom, cap, np.arange(n, dtype=np.int64)[:, None],
+                                   t, np.concatenate(([NO_DROP], t[:-1]))))
     rest = sum(int(t[0]) for t in tables[1:])
-    first = tables[0]
-    n = max(int(np.searchsorted(first, bound - rest)), 1)
-    _admit(8 * (dim + 2) * n, f"weight model of {ms} below {cap} has {n} atoms")
-    weight = first[:n]
-    drop = np.concatenate(([NO_DROP], first[:n - 1]))
-    links = []
-    for t in tables[1:]:
-        rest -= int(t[0])
-        counts = np.searchsorted(t, bound - rest - weight)
-        counts[0] = max(counts[0], 1)  # row 0 is the zero prefix
-        n = int(counts.sum())
-        _admit(8 * (dim + 2) * n, f"weight model of {ms} below {cap} has {n} atoms")
-        parent, k = _prefixes(counts, n)
-        base = weight[parent]
-        down = np.where(k > 0, base + t[np.maximum(k - 1, 0)], NO_DROP)
-        drop = np.maximum(_shifted(drop[parent], t[k]), down)
-        weight = base + t[k]
-        links.append((parent, k))
-    # read each final row's exponents back through its chain of parents;
-    # a row of column 0 is its own exponent there
-    exps = np.empty((len(weight), dim), dtype=np.int64)
-    row = np.arange(len(weight))
-    for j in range(dim - 1, 0, -1):
-        parent, k = links[j - 1]
-        exps[:, j] = k[row]
-        row = parent[row]
-    exps[:, 0] = row
-    return WeightModel(dim, denom, cap, exps, weight, drop)
+    model = factors[0]
+    for f in factors[1:]:
+        rest -= int(f.weight[0])
+        model = _pair(model, f, cap - Fraction(rest, denom), what)
+    return model
 
 
 def rescaled(model: WeightModel, new_denom: int) -> WeightModel:
@@ -190,49 +154,70 @@ def rescaled(model: WeightModel, new_denom: int) -> WeightModel:
 
 
 def convolve(a: WeightModel, b: WeightModel, cap: Fraction | None = None) -> WeightModel:
-    """Model of the sum filtration on disjoint variables.
-
-    Pair weights add; a pair's drop is the best single decrement taken in
-    either factor.  The result is complete below min(cap, a.cap, b.cap).
-
-    Row i of a pairs with the atoms of b lighter than cut - w_a(i): a
-    prefix of b in weight order, whose length is one searchsorted, so
-    the work is O(|a| log |b| + output) and the output is known, and
-    admitted, before it is allocated.  The pairs come out grouped by row
-    of a.  A one-variable b is in weight order already, so they are lex
-    order too; otherwise one sort of the integer key i·|b| + j restores
-    it.  The zero pair (0, 0) is always kept: row 0 of b is the lightest.
-    """
+    """Model of the sum filtration on disjoint variables, complete below
+    min(cap, a.cap, b.cap): the factors over one denominator, paired."""
     cap_out = min(a.cap, b.cap) if cap is None else min(cap, a.cap, b.cap)
     denom = lcm(a.denom, b.denom)
     a = rescaled(a, denom)
     b = rescaled(b, denom)
+    return _pair(a, b, cap_out, f"convolution of {len(a.weight)} x {len(b.weight)} "
+                                f"atoms below {cap_out}")
+
+
+def _pair(a: WeightModel, b: WeightModel, cap: Fraction, what: str) -> WeightModel:
+    """The pairs of atoms of a and b, two models over one denominator, that
+    are lighter than cap, as a lex-sorted model; what names it on refusal.
+
+    Pair weights add; a pair's drop is the best single decrement taken in
+    either factor.  Row i of a pairs with the atoms of b lighter than
+    cut - w_a(i): a prefix of b in weight order, whose length is one
+    searchsorted, so the work is O(|a| log |b| + output) and the output
+    is known, and admitted, before it is allocated.  The pairs come out
+    grouped by row of a.  A one-variable b is in weight order already, so
+    they are lex order too; otherwise one sort of the integer key
+    i·|b| + j restores it.  The zero pair (0, 0) is always kept: row 0 of
+    b is the lightest.  Each array is released once the next is made from
+    it, so beside the exponents at most three pair-sized int64 arrays and
+    a mask are alive: 8 · (dim + 3) + 1 bytes a pair, admitted at
+    8 · (dim + 4) for each pair and each row read, since a fold holds a.
+    """
+    denom = a.denom
     na, nb = len(a.weight), len(b.weight)
     _admit_int64(_top(a) + _top(b), "pair weights of {} x {} atoms", na, nb)
     by_weight = None if b.dim == 1 else np.argsort(b.weight)
     sorted_b = b.weight if by_weight is None else b.weight[by_weight]
-    counts = np.searchsorted(sorted_b, _cut(cap_out, denom) - a.weight)
+    counts = np.searchsorted(sorted_b, _cut(cap, denom) - a.weight)
     counts[0] = max(counts[0], 1)  # the zero exponent, first in lex order
     n = int(counts.sum())
     dim = a.dim + b.dim
-    index_arrays = 2 if by_weight is None else 3
-    _admit(8 * (dim + 2 + index_arrays) * n,
-           f"convolution of {na} x {nb} atoms below {cap_out} has {n} atoms")
+    _admit(8 * (dim + 4) * (n + na + nb), f"{what} has {n} atoms")
     ia, ib = _prefixes(counts, n)
     if by_weight is not None:
-        key = ia * nb + by_weight[ib]
-        key.sort()  # within each row of a only: ia is nondecreasing
-        ib = key - ia * nb
+        ib = ia * nb + by_weight[ib]
+        ib.sort()  # within each row of a only: ia is nondecreasing
+        ib -= ia * nb
+    del ia
     # a column at a time: numpy copies a narrow 2-D block row by row, ~5x slower
     exps = np.empty((n, dim), dtype=np.int64)
     for j in range(a.dim):
-        exps[:, j] = np.repeat(a.exps[:, j], counts)
+        exps[:, j] = a.exps[:, j].repeat(counts)
     for j in range(b.dim):
         exps[:, a.dim + j] = b.exps[:, j].take(ib)
-    wa, wb = np.repeat(a.weight, counts), b.weight.take(ib)
-    weight = wa + wb
-    drop = np.maximum(_shifted(np.repeat(a.drop, counts), wb), _shifted(b.drop.take(ib), wa))
-    return WeightModel(dim, denom, cap_out, exps, weight, drop)
+    weight, drop = b.weight.take(ib), b.drop.take(ib)
+    del ib
+    wa, none = a.weight.repeat(counts), drop == NO_DROP
+    drop += wa
+    drop[none] = NO_DROP
+    weight += wa
+    del wa, none
+    # a's drop shifted by w_b is (drop_a - w_a) + weight, except on row 0,
+    # the zero exponent and a's only NO_DROP: its pairs come first and are
+    # overwritten, so its difference may wrap
+    other = (a.drop - a.weight).repeat(counts)
+    other += weight
+    other[:counts[0]] = NO_DROP
+    np.maximum(drop, other, out=drop)
+    return WeightModel(dim, denom, cap, exps, weight, drop)
 
 
 def _near_cap(model: WeightModel, t: int) -> bool:

@@ -466,7 +466,9 @@ _MEMORY_BAND = [
 
 
 def test_memory_band_under_cap_exits_in_one_line():
-    # each command answers or ends in one `error:` line, never a traceback
+    # each command answers or ends in one `error:` line, never a traceback;
+    # a model build is admitted at its peak, so it is refused before it
+    # runs out of memory
     limit = 1 << 30
     proc = subprocess.run(
         [sys.executable, "-c", _CHILD_COMMANDS, json.dumps(_MEMORY_BAND)],
@@ -480,6 +482,7 @@ def test_memory_band_under_cap_exits_in_one_line():
         assert "Traceback" not in err and err.count("\n") <= 1, (argv, err)
         if code == 2:
             assert out_chars == 0 and err.startswith("error: "), (argv, err)
+            assert not err.startswith("error: out of memory"), (argv, err)
 
 
 def test_pair_sums_refused_before_allocating_under_cap():

@@ -4,7 +4,7 @@ import pytest
 
 from tsmult.errors import GermUnsupported, WindowExceeded
 from tsmult.germs import (Germ, alpha_tilde, diagonal_microlocal_chain,
-                          diagonal_usual_chain, diagonal_weight_sum, lct,
+                          diagonal_usual_chain, lct,
                           milnor_number, one_var_weight, ts_sum)
 
 from bruteforce import bf_micro_weight, bf_usual_weight
@@ -64,14 +64,6 @@ def test_ts_sum():
     assert g.var_names == ("x", "y")
     with pytest.raises(GermUnsupported):
         ts_sum(Germ((2,), var_names=("x",)), Germ((3,), var_names=("x",)))
-
-
-def test_diagonal_weight_sum():
-    g = Germ((2, 3))
-    assert diagonal_weight_sum(g, (0, 0)) == F(5, 6)
-    assert diagonal_weight_sum(g, (1, 2)) == F(3, 2) + F(4, 3)
-    with pytest.raises(ValueError):
-        diagonal_weight_sum(g, (0,))
 
 
 def test_alpha_tilde_lct_milnor():

@@ -1,6 +1,7 @@
 import copy
 import itertools
 import pickle
+import tracemalloc
 from fractions import Fraction as F
 from math import lcm
 
@@ -64,8 +65,12 @@ def test_diagonal_model_equals_box_model(d):
 
 def test_fold_start_matches_box_model_on_short_tables():
     # caps at, between and just past the first weights z^0 and z^1, so the
-    # column tables are cut to length 1 or 2, or the whole model to row 0
-    for ms in [(m,) for m in range(2, 12)] + list(itertools.product(range(2, 9), repeat=2)):
+    # one-variable tables are cut to length 1 or 2, or the whole model to
+    # row 0; with three variables the first pairing is below cap - rest
+    # with rest > 0, and these caps reach that intermediate cap too
+    shapes = ([(m,) for m in range(2, 12)] + list(itertools.product(range(2, 9), repeat=2))
+              + list(itertools.product(range(2, 6), repeat=3)))
+    for ms in shapes:
         zero = sum(F(1, m) for m in ms)
         caps = {F(k, 2 * m) for m in ms for k in range(1, 6)} | {zero, zero + F(1, 100)}
         for cap in caps:
@@ -193,28 +198,53 @@ def test_convolve_output_is_lex_sorted():
 
 
 def test_table_byte_limit_refuses_before_building(monkeypatch):
+    # a pairing is admitted at 8 * (dim + 4) bytes for each pair it makes
+    # and each row it reads; (5, 5) pairs two one-variable models
     small = diagonal_model((5, 5), cap=F(2))
-    monkeypatch.setattr(weights, "MAX_TABLE_BYTES", 8 * 4 * len(small.weight))
+    factor = diagonal_model((5,), cap=F(2))
+    monkeypatch.setattr(weights, "MAX_TABLE_BYTES",
+                        8 * 6 * (len(small.weight) + 2 * len(factor.weight)))
     assert _identical(diagonal_model((5, 5), cap=F(2)), small)
     bigger = box_model((5, 5), cap=F(11, 5))
     with pytest.raises(ResourceLimit, match=rf"has {len(bigger.weight)} atoms: "):
         diagonal_model((5, 5), cap=F(11, 5))
-    # a convolution is admitted on its output: rows of exponents, weight
-    # and drop, plus the two pair index arrays of a one-variable right factor
+    # a convolution is admitted on its output and the atoms of its factors
     quintic = diagonal_model((5,), cap=F(4))
     n = len(quintic.weight)
     rows = len(box_model((5, 5), cap=F(4)).weight)
     with pytest.raises(ResourceLimit, match=rf"convolution of {n} x {n} atoms below 4 "
-                                            rf"has {rows} atoms: {8 * 6 * rows} bytes"):
+                                            rf"has {rows} atoms: {8 * 6 * (rows + 2 * n)} bytes"):
         convolve(quintic, quintic)
-    # a right factor of two variables adds the sort key
     pair = box_model((5, 5), cap=F(4))
     rows = len(box_model((5, 5, 5), cap=F(4)).weight)
     with pytest.raises(ResourceLimit, match=rf"convolution of {n} x {len(pair.weight)} atoms "
-                                            rf"below 4 has {rows} atoms: {8 * 8 * rows} bytes"):
+                                            rf"below 4 has {rows} atoms: "
+                                            rf"{8 * 7 * (rows + n + len(pair.weight))} bytes"):
         convolve(quintic, pair)
     with pytest.raises(ResourceLimit, match=r"weight table of z\^1000 "):
         diagonal_model((1000,), cap=F(4))
+
+
+@pytest.mark.parametrize("ms, right", [
+    ((400, 401), None), ((60, 61, 62), None), ((300, 301, 2), None), ((16, 16, 16, 16), None),
+    ((400,), (401,)), ((60,), (61, 62))])
+def test_pairing_peak_within_admitted_bytes(monkeypatch, ms, right):
+    # admission must never undercount: a model build of two to four
+    # variables, or a convolution with a one- or two-variable right factor,
+    # peaks within the largest charge it admitted.  A last variable of
+    # z^2 makes the left model nearly as long as the output
+    factors = None if right is None else (diagonal_model(ms, F(3)), diagonal_model(right, F(3)))
+    admitted = []
+    monkeypatch.setattr(weights, "_admit", lambda nbytes, what: admitted.append(nbytes))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        model = diagonal_model(ms, F(3)) if right is None else convolve(*factors)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert len(model.weight) > 150_000
+    assert peak <= max(admitted), peak / len(model.weight)
 
 
 def test_int64_overflow_refused():
@@ -277,6 +307,17 @@ def test_tables_survive_pickle_and_copy():
             assert not restored.keys.flags.writeable
             with pytest.raises(AttributeError):
                 restored.denom = 1
+    # an ideal is rebuilt through its constructor, so a chain whose steps
+    # were read survives too
+    chain = diagonal_microlocal_chain(Germ((2, 3)), window=F(2))
+    steps = chain.steps
+    for ideal in (MonomialIdeal.unit(2), MonomialIdeal.zero(3), steps[-1].ideal):
+        for restored in (pickle.loads(pickle.dumps(ideal)), copy.deepcopy(ideal)):
+            assert restored == ideal and restored.gens == ideal.gens
+            with pytest.raises(AttributeError):
+                restored.dim = 1
+    for restored in (pickle.loads(pickle.dumps(chain)), copy.deepcopy(chain)):
+        assert restored.steps == steps and models_equal(restored.model, chain.model)
 
 
 def test_graded_exponents_counts():
