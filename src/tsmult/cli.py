@@ -102,21 +102,10 @@ def _rat(text: str) -> Fraction:
 
 
 def _window(args: argparse.Namespace) -> Fraction:
-    """The positive window of --window, else of TSMULT_WINDOW, else the default."""
-    if args.window is not None:
-        if args.window <= 0:
-            raise TsmultError("window must be positive")
-        return args.window
-    raw = os.environ.get("TSMULT_WINDOW")
-    if raw is None:
-        return DEFAULT_WINDOW
-    try:
-        window = Fraction(raw)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise TsmultError(f"bad TSMULT_WINDOW value {raw!r}") from exc
-    if window <= 0:
-        raise TsmultError(f"bad TSMULT_WINDOW value {raw!r}")
-    return window
+    """The window of --window, which must be positive."""
+    if args.window <= 0:
+        raise TsmultError("window must be positive")
+    return args.window
 
 
 # A command returns its exit code and the lines it prints; a JSON document
@@ -312,8 +301,8 @@ def _add_germ_command(sub, name: str, func: Callable[[argparse.Namespace], Outpu
         p.add_argument("--alpha", type=_rat, required=True,
                        help="rational exponent, e.g. 5/6")
     if window:
-        p.add_argument("--window", type=_rat, default=None,
-                       help=f"computation window (default {DEFAULT_WINDOW}, env TSMULT_WINDOW)")
+        p.add_argument("--window", type=_rat, default=DEFAULT_WINDOW,
+                       help=f"computation window (default {DEFAULT_WINDOW})")
     p.add_argument("--json", action="store_true", help="emit JSON")
     p.add_argument("germ", help='germ expression, e.g. "z1^2 + z2^3"')
     p.set_defaults(func=func)

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import weights
 from .errors import ChainKindError, NotReduced, WindowExceeded
-from .filtration import MICROLOCAL, JumpChain, JumpSet
+from .filtration import JumpChain, JumpSet
 from .germs import Germ, diagonal_microlocal_chain
 from .monomial import MonomialIdeal, QuotientBasis, Rat
 from .spectral import spectrum_of
@@ -28,21 +28,21 @@ def ts_convolve_chains(c1: JumpChain, c2: JumpChain,
                        window: Fraction | None = None) -> JumpChain:
     """Microlocal V-chain of the disjoint-variable sum of two germs."""
     for c in (c1, c2):
-        if c.mode != "V" or c.family != MICROLOCAL:
-            raise ChainKindError("chain convolution expects microlocal V-mode chains")
+        if c.mode != "V":
+            raise ChainKindError("chain convolution expects V-mode chains")
     max_window = min(c1.window, c2.window)
     window = max_window if window is None else Fraction(window)
     if window > max_window:
         raise WindowExceeded(f"requested window {window} exceeds a factor window {max_window}")
-    return JumpChain(weights.convolve(c1.model, c2.model, cap=window + 2),
-                     "V", MICROLOCAL, window)
+    return JumpChain(weights.convolve(c1.model, c2.model, cap=window + 2), "V", window)
 
 
 def ts_multiplier(c1: JumpChain, c2: JumpChain, alpha: Fraction) -> MonomialIdeal:
     """Multiplier ideal of the sum at alpha in (0, 1).
 
     Valid because the usual and microlocal ideals agree below 1, so the
-    right-continuous value of the convolved chain is the answer.
+    right-continuous value of the convolved chain is the answer.  Only the
+    factor models are read, so either view of a factor will do.
 
     The convolution stops at cap = v + 1, where v is the first multiple
     of 1/D past alpha and D the convolved denominator.  That is enough:
@@ -57,8 +57,6 @@ def ts_multiplier(c1: JumpChain, c2: JumpChain, alpha: Fraction) -> MonomialIdea
     if not 0 < alpha < 1:
         raise WindowExceeded(f"alpha = {alpha} is outside (0, 1); "
                              "use periodic_extend for larger parameters")
-    if c1.family != c2.family:
-        raise ChainKindError("factor chains must be of the same family")
     if min(c1.window, c2.window) < 1:
         raise WindowExceeded("factor chains must cover the window [0, 1)")
     denom = lcm(c1.model.denom, c2.model.denom)
@@ -132,8 +130,8 @@ def ts_graded(c1: JumpChain, c2: JumpChain, alpha: Fraction) -> list[GradedSumma
     """
     alpha = Fraction(alpha)
     for c in (c1, c2):
-        if c.mode != "V" or c.family != MICROLOCAL:
-            raise ChainKindError("graded convolution expects microlocal V-mode chains")
+        if c.mode != "V":
+            raise ChainKindError("graded convolution expects V-mode chains")
         if alpha >= c.window:
             raise WindowExceeded(f"alpha = {alpha} outside factor window [0, {c.window})")
     denom = lcm(c1.model.denom, c2.model.denom)

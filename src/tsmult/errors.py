@@ -28,7 +28,7 @@ class NotReduced(TsmultError):
 
 
 class ChainKindError(TsmultError):
-    """A chain of the wrong side (V vs J) or family was supplied."""
+    """A chain of the wrong side (V vs J) was supplied."""
 
 
 class OracleMismatch(TsmultError):

@@ -20,9 +20,6 @@ from . import weights
 from .errors import ChainKindError, WindowExceeded
 from .monomial import MonomialIdeal, QuotientBasis, ScaledIdeal
 
-MICROLOCAL = "microlocal"
-USUAL = "usual"
-
 
 @dataclass(frozen=True)
 class JumpStep:
@@ -95,14 +92,11 @@ class JumpChain:
     miss some and answer wrongly, is refused here with WindowExceeded.
     """
 
-    __slots__ = ("model", "mode", "family", "window", "_steps")
+    __slots__ = ("model", "mode", "window", "_steps")
 
-    def __init__(self, model: weights.WeightModel, mode: str, family: str,
-                 window: Fraction):
+    def __init__(self, model: weights.WeightModel, mode: str, window: Fraction):
         if mode not in ("V", "J"):
             raise ChainKindError(f"unknown chain mode {mode!r}")
-        if family not in (MICROLOCAL, USUAL):
-            raise ChainKindError(f"unknown chain family {family!r}")
         window = Fraction(window)
         if window <= 0:
             raise ValueError("window must be positive")
@@ -113,7 +107,6 @@ class JumpChain:
                                  f"not {model.cap}")
         self.model = model
         self.mode = mode
-        self.family = family
         self.window = window
         self._steps = None
 
@@ -153,7 +146,6 @@ class JumpChain:
                 prev = s.ideal
         return {
             "mode": self.mode,
-            "family": self.family,
             "window": str(self.window),
             "dim": self.dim,
             "top": self.top.to_json(),
@@ -163,16 +155,16 @@ class JumpChain:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, JumpChain):
             return NotImplemented
-        if (self.mode, self.family, self.window, self.dim) != \
-                (other.mode, other.family, other.window, other.dim):
+        if (self.mode, self.window, self.dim) != (other.mode, other.window, other.dim):
             return False
         return weights.models_equal(self.model, other.model) or self.steps == other.steps
 
     __hash__ = None
 
     def __repr__(self) -> str:
-        return (f"JumpChain(mode={self.mode!r}, family={self.family!r}, "
-                f"window={self.window}, dim={self.dim}, jumps={len(self.steps)})")
+        jumps = len(weights._levels_below(self.model, self.window))  # makes no step
+        return (f"JumpChain(mode={self.mode!r}, window={self.window}, dim={self.dim}, "
+                f"jumps={jumps})")
 
 
 def v_lookup(chain: JumpChain, alpha: Fraction) -> MonomialIdeal:
@@ -193,7 +185,7 @@ def v_to_j(chain: JumpChain) -> JumpChain:
     """Right-continuous view of a V-mode chain: same levels, post-jump values."""
     if chain.mode != "V":
         raise ChainKindError("v_to_j expects a V-mode chain")
-    view = JumpChain(chain.model, "J", chain.family, chain.window)
+    view = JumpChain(chain.model, "J", chain.window)
     view._steps = chain._steps
     return view
 
@@ -236,11 +228,10 @@ def usual_jumpset(microlocal: JumpSet, window: Fraction) -> JumpSet:
 def periodic_extend(chain: JumpChain, alpha: Fraction) -> ScaledIdeal:
     """Usual multiplier ideal at any alpha >= 0 as f^k times an ideal.
 
-    Strips whole periods so the fractional part lands in [0, 1), where the
-    chain is authoritative.
+    Strips whole periods so the fractional part a lands in [0, 1), where
+    a J-view reads V^{>a}, which is J(f^a) there; so any J-view answers,
+    and one whose window does not pass a is refused with WindowExceeded.
     """
-    if chain.family != USUAL:
-        raise ChainKindError("periodic extension is valid for usual multiplier chains only")
     if chain.mode != "J":
         raise ChainKindError("periodic_extend expects a J-mode chain")
     alpha = Fraction(alpha)

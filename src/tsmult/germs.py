@@ -15,7 +15,7 @@ from math import lcm, prod
 
 from . import weights
 from .errors import GermUnsupported, WindowExceeded
-from .filtration import MICROLOCAL, USUAL, JumpChain
+from .filtration import JumpChain, v_to_j
 from .monomial import Rat, as_fraction
 
 DEFAULT_WINDOW = Fraction(2)
@@ -91,8 +91,7 @@ def diagonal_microlocal_chain(germ: Germ, window: Fraction = DEFAULT_WINDOW) -> 
     """Left-continuous microlocal chain: membership of z^nu at level a
     is sum_j w(m_j, nu_j) >= a, with w the one-variable microlocal weight."""
     window = Fraction(window)
-    return JumpChain(weights.diagonal_model(germ.exponents, cap=window + 2),
-                     "V", MICROLOCAL, window)
+    return JumpChain(weights.diagonal_model(germ.exponents, cap=window + 2), "V", window)
 
 
 def one_var_microlocal_chain(m: int, window: Fraction = DEFAULT_WINDOW) -> JumpChain:
@@ -111,7 +110,7 @@ def diagonal_usual_chain(germ: Germ, window: Fraction = Fraction(1)) -> JumpChai
     if window > 1:
         raise WindowExceeded("usual chains are monomial on [0, 1) only; "
                              "use periodic_extend beyond")
-    return JumpChain(diagonal_microlocal_chain(germ, window).model, "J", USUAL, window)
+    return v_to_j(diagonal_microlocal_chain(germ, window))
 
 
 def one_var_usual_chain(m: int, window: Fraction = Fraction(1)) -> JumpChain:

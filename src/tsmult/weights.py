@@ -88,17 +88,22 @@ def _one_var_scaled(m: int, cap: Fraction, denom: int, usual: bool) -> np.ndarra
     """Weight numerators over denom for z^k, k = 0.. while weight < cap.
 
     The numerators over m, k + 1 (usual) or k + 1 + k // (m - 1)
-    (microlocal), increase strictly and are >= k + 1, so every k with
-    weight < cap is below cap * m and those k are a prefix.  z^0 is kept
-    even when its own weight reaches the cap.
+    (microlocal), increase strictly, so those below the cut B = cap * m
+    are a prefix: 1 .. B - 1 (usual), or the positive integers below B
+    not divisible by m (microlocal).  Their count is known before the
+    table is made, which is built in place: at most two int64 arrays of
+    that length are alive, 16 bytes an entry.  z^0 is kept even when its
+    own weight reaches the cap.
     """
-    bound = _cut(cap, m)
-    n = max(bound, 1)
-    _admit(8 * n, f"weight table of z^{m} below {cap} has {n} entries")
-    k = np.arange(n, dtype=np.int64)
-    nums = k + 1 if usual else k + 1 + k // (m - 1)
-    count = max(int(np.searchsorted(nums, bound)), 1)
-    return nums[:count] * (denom // m)
+    bound = _cut(cap, m) - 1
+    n = max(bound if usual else bound - bound // m, 1)
+    _admit(16 * n, f"weight table of z^{m} below {cap} has {n} entries")
+    nums = np.arange(n, dtype=np.int64)
+    if not usual:
+        nums += nums // (m - 1)
+    nums += 1
+    nums *= denom // m
+    return nums
 
 
 def _prefixes(counts: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -127,13 +132,16 @@ def diagonal_model(ms: Sequence[int], cap: Fraction, usual: bool = False) -> Wei
                  "weight model of {} below {}", ms, cap)
     what = f"weight model of {ms} below {cap}"
     tables = [_one_var_scaled(m, cap, denom, usual) for m in ms]
-    factors = []
-    for t in tables:
-        n = len(t)
-        _admit(24 * n, f"{what} has {n} atoms")
-        factors.append(WeightModel(1, denom, cap, np.arange(n, dtype=np.int64)[:, None],
-                                   t, np.concatenate(([NO_DROP], t[:-1]))))
     rest = sum(int(t[0]) for t in tables[1:])
+    factors = []
+    while tables:
+        n = len(tables[0])
+        _admit(24 * n, f"{what} has {n} atoms")
+        # weight and drop read one buffer at two offsets: z^k drops to the
+        # weight of z^(k-1), z^0 to NO_DROP.  The table is freed once copied
+        both = np.concatenate(([NO_DROP], tables.pop(0)))
+        factors.append(WeightModel(1, denom, cap, np.arange(n, dtype=np.int64)[:, None],
+                                   both[1:], both[:-1]))
     model = factors[0]
     for f in factors[1:]:
         rest -= int(f.weight[0])

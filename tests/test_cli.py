@@ -244,7 +244,6 @@ def test_values_are_charged_only_where_they_are_read(capsys, monkeypatch):
     # the spectrum of x^20+y^21+z^22 has 6180 distinct values; jc reads
     # only their int64 keys below 1, so it answers under a limit that the
     # spectrum command, which prints every value, is refused by
-    monkeypatch.delenv("TSMULT_WINDOW", raising=False)
     monkeypatch.setattr(weights, "MAX_TABLE_BYTES", 1_000_000)
     code, out, err = _run(capsys, ["jc", "x^20+y^21+z^22"])
     assert code == 0 and err == ""
@@ -260,9 +259,8 @@ def test_values_are_charged_only_where_they_are_read(capsys, monkeypatch):
     ["graded", "--alpha", "1/2", "a^1291+b^1297+c^1301+d^1303+e^1307+f^1319"],
     ["ideal", "--alpha", "1/2", "a^1291+b^1297+c^1301+d^1303+e^1307+f^1319"],
 ])
-def test_exit_code_int64_overflow_refused(capsys, monkeypatch, argv):
+def test_exit_code_int64_overflow_refused(capsys, argv):
     # jc reads the spectrum, the other commands build a weight model
-    monkeypatch.delenv("TSMULT_WINDOW", raising=False)
     code, out, err = _run(capsys, argv)
     table = "spectrum" if argv[0] == "jc" else "weight model"
     assert code == 2 and out == ""
@@ -310,11 +308,9 @@ _flag_values = st.sampled_from(["-1", "-1/2", "0", "1/6", "1/2", "5/6", "1", "7/
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(command=st.sampled_from(sorted(_GERM_COMMANDS)), text=_germ_texts(),
        alpha=_flag_values, window=_flag_values, as_json=st.booleans())
-def test_germ_grammar_contract(capsys, monkeypatch, command, text, alpha, window,
-                               as_json):
+def test_germ_grammar_contract(capsys, command, text, alpha, window, as_json):
     # every germ command ends in exit 0 with nothing on stderr, or in exit 2
     # with one `error: ` line, never in a traceback
-    monkeypatch.delenv("TSMULT_WINDOW", raising=False)
     flags = _GERM_COMMANDS[command]
     argv = [command, *([f"--alpha={alpha}"] if "alpha" in flags else []),
             *([f"--window={window}"] if "window" in flags else []),
@@ -352,9 +348,8 @@ def test_help_goes_to_stdout(capsys):
     assert out.out.startswith("usage: tsmult lct ")
 
 
-def test_cli_matches_recorded_digests(capsys, monkeypatch):
+def test_cli_matches_recorded_digests(capsys):
     # exit codes and stdout digests recorded for the benchmark's CLI catalogue
-    monkeypatch.delenv("TSMULT_WINDOW", raising=False)
     recorded = Path(__file__).resolve().parents[1] / "bench" / "cli_expected.json"
     expected = json.loads(recorded.read_text())
     assert expected
@@ -384,10 +379,9 @@ def _readme_examples():
 
 
 @pytest.mark.parametrize("argv, expected", _readme_examples())
-def test_readme_examples(capsys, monkeypatch, argv, expected):
+def test_readme_examples(capsys, argv, expected):
     # stdout matches the lines under the command, a `...` line standing for
     # any lines; a refusal's `error:` line is compared with stderr
-    monkeypatch.delenv("TSMULT_WINDOW", raising=False)
     code, out, err = _run(capsys, argv)
     if expected.startswith("error: "):
         assert (code, out, err) == (2, "", expected + "\n")
@@ -504,6 +498,24 @@ def test_pair_sums_refused_before_allocating_under_cap():
             assert err.startswith("error: spectrum of (330, 331, 332): "), (argv, err)
 
 
+def test_weight_table_refused_before_allocating_under_cap():
+    # a one-variable table is admitted at the two int64 arrays its build
+    # holds, so these end in a refusal, not in numpy's out-of-memory error
+    limit = 1 << 30
+    argvs = [["ideal", "--alpha", "1/2", germ] for germ in ("x^40000000", "x^40000000+y^2")]
+    proc = subprocess.run(
+        [sys.executable, "-c", _CHILD_COMMANDS, json.dumps(argvs)],
+        capture_output=True, text=True, env=_child_env(), timeout=120,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
+    assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+    results = [json.loads(line) for line in proc.stdout.splitlines()]
+    assert len(results) == len(argvs)
+    for argv, (code, out_chars, err) in zip(argvs, results):
+        assert (code, out_chars, err.count("\n")) == (2, 0, 1), (argv, err)
+        assert err.startswith("error: weight table of z^40000000 below 3 has 119999997 "
+                              "entries: 1919999952 bytes "), (argv, err)
+
+
 def test_admitted_pair_sum_fits_under_cap():
     # 89700 x 301 = 26999700 pairs pass admission at 33 B a pair, and the
     # pair sum does fit in 1 GiB: the command gets past it to the charge
@@ -543,50 +555,22 @@ def test_closed_stdout_exits_quietly():
     assert "Traceback" not in err and "BrokenPipeError" not in err, err
 
 
-def test_window_env_override(capsys, monkeypatch):
-    monkeypatch.setenv("TSMULT_WINDOW", "3")
-    code, out, _ = _run(capsys, ["jc", "z1^2 + z2^3"])
+def test_window_flag(capsys):
+    code, out, _ = _run(capsys, ["jc", "--window", "3", "z1^2 + z2^3"])
     assert code == 0
     assert out.split() == ["5/6", "1", "11/6", "2", "17/6"]
-    monkeypatch.setenv("TSMULT_WINDOW", "junk")
-    code, _, err = _run(capsys, ["jc", "z1^2 + z2^3"])
-    assert code == 2
 
 
-def test_cli_flag_beats_env(capsys, monkeypatch):
-    monkeypatch.setenv("TSMULT_WINDOW", "3")
-    code, out, _ = _run(capsys, ["jc", "--window", "1", "z1^2 + z2^3"])
-    assert code == 0
-    assert out.split() == ["5/6"]
+@pytest.mark.parametrize("argv", [
+    ["jc", "--window", "0", "x^2+y^3"],
+    ["jc", "--window", "-1", "x^2+y^3"],
+    ["graded", "--window", "0", "--alpha", "1/2", "x^2+y^3"],
+], ids=["jc --window 0", "jc --window -1", "graded --window 0"])
+def test_window_validation(capsys, argv):
+    assert _run(capsys, argv) == (2, "", "error: window must be positive\n")
 
 
-@pytest.mark.parametrize("argv, env, message", [
-    (["jc", "--window", "0", "x^2+y^3"], None, "window must be positive"),
-    (["jc", "--window", "-1", "x^2+y^3"], None, "window must be positive"),
-    (["graded", "--window", "0", "--alpha", "1/2", "x^2+y^3"], "3",
-     "window must be positive"),
-    (["jc", "x^2+y^3"], "0", "bad TSMULT_WINDOW value '0'"),
-    (["graded", "--alpha", "1/2", "x^2+y^3"], "junk", "bad TSMULT_WINDOW value 'junk'"),
-], ids=["jc --window 0", "jc --window -1", "graded --window 0 beats env",
-        "jc env 0", "graded env junk"])
-def test_window_validation(capsys, monkeypatch, argv, env, message):
-    if env is None:
-        monkeypatch.delenv("TSMULT_WINDOW", raising=False)
-    else:
-        monkeypatch.setenv("TSMULT_WINDOW", env)
-    assert _run(capsys, argv) == (2, "", f"error: {message}\n")
-
-
-def test_window_env_only_read_by_windowed_commands(capsys, monkeypatch):
-    monkeypatch.setenv("TSMULT_WINDOW", "junk")
-    code, out, err = _run(capsys, ["verify", "--suite", "convolution"])
-    assert code == 0 and err == ""
-    assert "convolution: 25/25 passed" in out
-    assert _run(capsys, ["lct", "x^2+y^3"]) == (0, "5/6\n", "")
-
-
-def test_empty_output_writes_nothing(capsys, monkeypatch):
-    monkeypatch.delenv("TSMULT_WINDOW", raising=False)
+def test_empty_output_writes_nothing(capsys):
     assert _run(capsys, ["jc", "--window", "1/1000000", "x^2+y^3"]) == (0, "", "")
 
 

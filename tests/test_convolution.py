@@ -111,8 +111,11 @@ def test_ts_multiplier_domain():
     for bad in (F(0), F(1), F(3, 2), F(-1, 2)):
         with pytest.raises(WindowExceeded):
             ts_multiplier(c1, c2, bad)
-    with pytest.raises(ChainKindError):
-        ts_multiplier(c1, diagonal_usual_chain(Germ((3,))), F(1, 2))
+    # only the factor models are read, so a J-mode factor gives the same ideal
+    mixed = (c1, diagonal_usual_chain(Germ((3,))))
+    for n in range(1, 12):
+        alpha = F(n, 12)
+        assert ts_multiplier(*mixed, alpha) == ts_multiplier(c1, c2, alpha), alpha
 
 
 def test_ts_jumpset():

@@ -6,9 +6,10 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from tsmult.convolution import ts_graded
+from tsmult import filtration
+from tsmult.convolution import ts_convolve_chains, ts_graded
 from tsmult.errors import ChainKindError, ResourceLimit, WindowExceeded
-from tsmult.filtration import (MICROLOCAL, JumpChain, JumpSet, JumpStep, graded_at,
+from tsmult.filtration import (JumpChain, JumpSet, JumpStep, graded_at,
                                j_lookup, jumpset_of, periodic_extend,
                                usual_jumpset, v_lookup, v_to_j)
 from tsmult.germs import (Germ, diagonal_microlocal_chain, diagonal_usual_chain,
@@ -74,13 +75,13 @@ def test_mode_gating():
 def test_chain_equality_across_model_caps():
     chain = one_var_microlocal_chain(3, window=F(2))
     # a larger cap gives a different atom table, so equality falls back to steps
-    wide = JumpChain(diagonal_model((3,), cap=F(5)), "V", MICROLOCAL, F(2))
+    wide = JumpChain(diagonal_model((3,), cap=F(5)), "V", F(2))
     assert chain == wide
     assert wide == chain
     assert chain != one_var_microlocal_chain(3, window=F(3, 2))
     assert chain != one_var_microlocal_chain(4, window=F(2))
     # equal steps over different denominators
-    over_six = JumpChain(rescaled(wide.model, 6), "V", MICROLOCAL, F(2))
+    over_six = JumpChain(rescaled(wide.model, 6), "V", F(2))
     assert (chain.model.denom, over_six.model.denom) == (3, 6)
     assert chain.steps == over_six.steps and chain == over_six
     # same levels and generator counts, different generators
@@ -120,7 +121,8 @@ def test_steps_share_generators_and_resume_the_collector():
 def test_chain_json_shapes():
     chain = diagonal_microlocal_chain(Germ((2, 3)), window=F(2))
     v_doc = chain.to_json()
-    assert v_doc["mode"] == "V" and v_doc["family"] == "microlocal"
+    assert v_doc["mode"] == "V"
+    assert list(v_doc) == ["mode", "window", "dim", "top", "jumps"]
     # V-side levels carry the value of the filtration at the level itself,
     # so the first entry repeats the top ideal
     assert v_doc["jumps"][0] == {"level": "5/6", "ideal": {"dim": 2, "gens": [[0, 0]]}}
@@ -236,19 +238,53 @@ def test_periodic_extend():
         periodic_extend(chain, F(-1, 6))
 
 
-def test_periodic_extend_needs_usual_j_chain():
+def test_chain_sides_are_checked():
+    # the J-side reads refuse a V-mode chain; the V-side builds refuse a J-mode one
     micro = diagonal_microlocal_chain(Germ((2, 3)), window=F(2))
+    for read in (periodic_extend, j_lookup):
+        with pytest.raises(ChainKindError):
+            read(micro, F(1, 2))
+    view = v_to_j(micro)
     with pytest.raises(ChainKindError):
-        periodic_extend(micro, F(1, 2))
+        ts_convolve_chains(micro, view)
     with pytest.raises(ChainKindError):
-        periodic_extend(v_to_j(micro), F(1, 2))
+        ts_graded(view, micro, F(1))
+
+
+def test_periodic_extend_reads_any_j_view():
+    # a J-view of the microlocal chain, whatever its window, answers as the
+    # usual chain does and as the Newton weights do, on every period
+    for ms in [(2,), (5,), (2, 3), (3, 4), (2, 3, 4)]:
+        usual = diagonal_usual_chain(Germ(ms))
+        den = 2 * math.lcm(*ms)
+        for window in (F(1), F(3, 2), F(2)):
+            view = v_to_j(diagonal_microlocal_chain(Germ(ms), window))
+            for n in range(3 * den):
+                alpha = F(n, den)
+                got = periodic_extend(view, alpha)
+                assert got == periodic_extend(usual, alpha), (ms, window, alpha)
+                k = math.floor(alpha)
+                assert got.power == k
+                assert got.ideal.gens == tuple(
+                    bf_diagonal_gens(ms, alpha - k, strict=True, usual=True)), (ms, alpha)
+
+
+def test_repr_makes_no_steps(monkeypatch):
+    chain = diagonal_microlocal_chain(Germ((2, 3)), window=F(2))
+
+    def no_steps(model, window):
+        raise AssertionError("repr made the steps")
+
+    monkeypatch.setattr(filtration, "_make_steps", no_steps)
+    assert repr(chain) == "JumpChain(mode='V', window=2, dim=2, jumps=3)"
+    assert repr(v_to_j(chain)) == "JumpChain(mode='J', window=2, dim=2, jumps=3)"
 
 
 def test_steps_keep_both_window_guards():
     model = diagonal_model((2, 3), cap=F(2))
 
     def steps(window, mode="V"):
-        return JumpChain(model, mode, MICROLOCAL, window).steps
+        return JumpChain(model, mode, window).steps
 
     # 7/6 is the first window past 1 over the denominator 6; at 3/2 the
     # achieved level 7/6 would be within 1 of the cap
@@ -271,6 +307,6 @@ def test_chain_from_model_needs_headroom():
     for alpha in (F(71, 30), F(77, 30), F(83, 30), F(89, 30)):
         assert sum(s.dim for s in ts_graded(full, five, alpha)) == 3, alpha
     with pytest.raises(WindowExceeded):
-        JumpChain(short, "V", MICROLOCAL, F(3))
-    wide = JumpChain(diagonal_model((2, 3), cap=F(3)), "V", MICROLOCAL, F(1))
+        JumpChain(short, "V", F(3))
+    wide = JumpChain(diagonal_model((2, 3), cap=F(3)), "V", F(1))
     assert wide.levels == (F(5, 6),)

@@ -3,6 +3,7 @@ from fractions import Fraction as F
 import pytest
 
 from tsmult.errors import GermUnsupported, WindowExceeded
+from tsmult.filtration import v_to_j
 from tsmult.germs import (Germ, alpha_tilde, diagonal_microlocal_chain,
                           diagonal_usual_chain, lct,
                           milnor_number, one_var_weight, ts_sum)
@@ -80,9 +81,14 @@ def test_usual_chain_window_cap():
         diagonal_usual_chain(Germ((2, 3)), window=F(3, 2))
     chain = diagonal_usual_chain(Germ((2, 3)), window=F(1, 2))
     assert chain.window == F(1, 2)
+    # the usual chain is the J-view of the microlocal chain on the same window
+    for ms in [(2,), (2, 3), (3, 4, 5)]:
+        for window in (F(1, 3), F(5, 6), F(1)):
+            assert diagonal_usual_chain(Germ(ms), window) == \
+                v_to_j(diagonal_microlocal_chain(Germ(ms), window)), (ms, window)
 
 
 def test_micro_chain_default_window():
     chain = diagonal_microlocal_chain(Germ((2, 3)))
     assert chain.window == F(2)
-    assert chain.family == "microlocal" and chain.mode == "V"
+    assert chain.mode == "V"

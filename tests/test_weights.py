@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from tsmult import weights
 from tsmult.errors import ResourceLimit, WindowExceeded
-from tsmult.filtration import MICROLOCAL, JumpChain, jumpset_of, usual_jumpset
+from tsmult.filtration import JumpChain, jumpset_of, usual_jumpset
 from tsmult.germs import Germ, alpha_tilde, diagonal_microlocal_chain
 from tsmult.spectral import fold_spectrum, spectrum_of
 from tsmult.monomial import MonomialIdeal
@@ -227,9 +227,9 @@ def test_table_byte_limit_refuses_before_building(monkeypatch):
 
 @pytest.mark.parametrize("ms, right", [
     ((400, 401), None), ((60, 61, 62), None), ((300, 301, 2), None), ((16, 16, 16, 16), None),
-    ((400,), (401,)), ((60,), (61, 62))])
+    ((400,), (401,)), ((60,), (61, 62)), ((10**6,), None)])
 def test_pairing_peak_within_admitted_bytes(monkeypatch, ms, right):
-    # admission must never undercount: a model build of two to four
+    # admission must never undercount: a model build of one to four
     # variables, or a convolution with a one- or two-variable right factor,
     # peaks within the largest charge it admitted.  A last variable of
     # z^2 makes the left model nearly as long as the output
@@ -275,8 +275,8 @@ def test_level_cuts_do_not_overflow():
     # levels times a denominator of 10^18 would pass 2^63
     hi = 1 + F(1, 10**18)
     model = diagonal_model((2, 3), cap=hi + 2)
-    assert jumpset_of(JumpChain(model, "V", MICROLOCAL, hi)).values == (F(5, 6),)
-    assert [s.level for s in JumpChain(model, "V", MICROLOCAL, hi).steps] == [F(5, 6)]
+    assert jumpset_of(JumpChain(model, "V", hi)).values == (F(5, 6),)
+    assert [s.level for s in JumpChain(model, "V", hi).steps] == [F(5, 6)]
 
 
 def test_convolve_cap_shrinks_to_smallest():
