@@ -118,7 +118,7 @@ def _json(payload: dict) -> list[str]:
 
 
 def _basis(args: argparse.Namespace, basis: QuotientBasis, **head: str) -> Output:
-    exps = [list(e) for e in sorted(basis.exponents, reverse=True)]
+    exps = basis.rows[::-1].tolist()  # the rows are lex-sorted and distinct
     if args.json:
         return 0, _json({**head, "dim": basis.dim, "exponents": exps})
     lines = [f"dim {basis.dim}"]
@@ -153,7 +153,7 @@ def cmd_ideal(args: argparse.Namespace) -> Output:
     if args.json:
         return 0, _json(scaled.to_json())
     power = f"power {scaled.power} " if scaled.power else ""
-    gens = [list(g) for g in sorted(scaled.ideal.gens, reverse=True)]
+    gens = [list(g) for g in reversed(scaled.ideal.gens)]
     return 0, [f"{power}gens {json.dumps(gens, separators=(',', ':'))}"]
 
 

@@ -126,7 +126,7 @@ def ts_graded(c1: JumpChain, c2: JumpChain, alpha: Fraction) -> list[GradedSumma
     both positive, so it exists only when A = alpha·D is an integer, and
     its scaled levels are the common values of the factor weights below
     A scaled to D, and of A minus those of the second factor: one
-    intersect1d.  Only the returned blocks become Fractions and tuples.
+    intersect1d.  Only the returned blocks' levels become Fractions.
     """
     alpha = Fraction(alpha)
     for c in (c1, c2):
@@ -145,12 +145,9 @@ def ts_graded(c1: JumpChain, c2: JumpChain, alpha: Fraction) -> list[GradedSumma
     bounds1 = [np.searchsorted(w1, levels, side=s).tolist() for s in ("left", "right")]
     bounds2 = [np.searchsorted(w2, top - levels, side=s).tolist() for s in ("left", "right")]
     return [GradedSummand(Fraction(v, denom), Fraction(top - v, denom),
-                          _basis(c1.model, rows1[lo1:hi1]), _basis(c2.model, rows2[lo2:hi2]))
+                          QuotientBasis(c1.model.exps[rows1[lo1:hi1]]),
+                          QuotientBasis(c2.model.exps[rows2[lo2:hi2]]))
             for v, lo1, hi1, lo2, hi2 in zip(levels.tolist(), *bounds1, *bounds2)]
-
-
-def _basis(model: weights.WeightModel, rows: np.ndarray) -> QuotientBasis:
-    return QuotientBasis(tuple(map(tuple, model.exps[rows].tolist())))
 
 
 def irrationality_module(germ: Germ) -> QuotientBasis:

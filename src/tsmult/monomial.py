@@ -154,15 +154,32 @@ def external_product(left: MonomialIdeal, right: MonomialIdeal) -> MonomialIdeal
     return MonomialIdeal(dim, sorted(gens), _trusted=True)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QuotientBasis:
-    """Lex-sorted monomial basis of a finite-dimensional quotient."""
+    """Monomial basis of a finite-dimensional quotient: rows, a read-only int64
+    array of shape (n, d), holds the exponents, distinct and lex-sorted."""
 
-    exponents: tuple[Exponent, ...]
+    rows: np.ndarray
+
+    def __post_init__(self) -> None:
+        self.rows.flags.writeable = False
+
+    def __reduce__(self) -> tuple:
+        return QuotientBasis, (self.rows,)  # so a copy's rows are read-only too
 
     @property
     def dim(self) -> int:
-        return len(self.exponents)
+        return len(self.rows)
+
+    @property
+    def exponents(self) -> tuple[Exponent, ...]:
+        return tuple(map(tuple, self.rows.tolist()))
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, QuotientBasis) and np.array_equal(self.rows, other.rows)
+
+    def __hash__(self) -> int:
+        return hash(self.rows.tobytes())
 
 
 @dataclass(frozen=True)

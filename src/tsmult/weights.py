@@ -241,7 +241,7 @@ def generators_at(model: WeightModel, alpha: Fraction, strict: bool) -> Monomial
     if _near_cap(model, t):
         raise WindowExceeded(f"threshold {alpha} is too close to the model cap {model.cap}")
     rows = model.exps[(model.weight >= t) & (model.drop < t)]
-    return MonomialIdeal(model.dim, list(map(tuple, rows.tolist())), _trusted=True)
+    return MonomialIdeal(model.dim, map(tuple, rows.tolist()), _trusted=True)
 
 
 def _strict_steps(model: WeightModel, hi: Fraction
@@ -290,15 +290,15 @@ def _strict_steps(model: WeightModel, hi: Fraction
     return keys, offsets, used, pairs
 
 
-def graded_exponents(model: WeightModel, alpha: Fraction) -> tuple[tuple[int, ...], ...]:
-    """Exponents of weight exactly alpha: a basis of the graded piece."""
+def graded_exponents(model: WeightModel, alpha: Fraction) -> np.ndarray:
+    """Lex-sorted rows of weight exactly alpha: a basis of the graded piece."""
     if alpha >= model.cap:
         raise WindowExceeded(f"level {alpha} is not below the model cap {model.cap}")
     num = alpha.numerator * model.denom
     if num % alpha.denominator:
-        return ()
+        return model.exps[:0]
     t = num // alpha.denominator
-    return tuple(map(tuple, model.exps[model.weight == t].tolist()))
+    return model.exps[model.weight == t]
 
 
 def _light_rows(model: WeightModel, alpha: Fraction,
@@ -311,9 +311,8 @@ def _light_rows(model: WeightModel, alpha: Fraction,
     return model.weight[rows] * (denom // model.denom), rows
 
 
-def quotient_exponents(model: WeightModel, alpha: Fraction,
-                       strict: bool) -> tuple[tuple[int, ...], ...]:
-    """Lex-sorted exponents outside {w >= alpha} (or {w > alpha} when strict).
+def quotient_exponents(model: WeightModel, alpha: Fraction, strict: bool) -> np.ndarray:
+    """Lex-sorted rows outside {w >= alpha} (or {w > alpha} when strict).
 
     They are a basis of O / V^alpha (or O / V^{>alpha}); the model holds
     every exponent of weight below the cap, so all of them are atoms.
@@ -321,7 +320,7 @@ def quotient_exponents(model: WeightModel, alpha: Fraction,
     if alpha >= model.cap:
         raise WindowExceeded(f"level {alpha} is not below the model cap {model.cap}")
     t = _cut(alpha, model.denom, strict)
-    return tuple(map(tuple, model.exps[model.weight < t].tolist()))
+    return model.exps[model.weight < t]
 
 
 def _levels_below(model: WeightModel, hi: Fraction) -> np.ndarray:

@@ -139,7 +139,7 @@ def bf_ts_graded(c1, c2, alpha: Fraction) -> list[GradedSummand]:
             continue
         e1 = weights.graded_exponents(c1.model, lv)
         e2 = weights.graded_exponents(c2.model, alpha - lv)
-        if e1 and e2:
+        if len(e1) and len(e2):
             out.append(GradedSummand(lv, alpha - lv, QuotientBasis(e1), QuotientBasis(e2)))
     return out
 
@@ -152,6 +152,96 @@ def bf_irrationality_basis(ms: Sequence[int]) -> list[tuple[int, ...]]:
     """
     return [nu for nu in itertools.product(*(range(m) for m in ms))
             if sum(bf_micro_weight(m, k) for m, k in zip(ms, nu)) <= 1]
+
+
+def bf_graded_basis(ms: Sequence[int], alpha: Fraction) -> list[tuple[int, ...]]:
+    """Exponents of microlocal weight sum exactly alpha, lex-sorted, by box scan.
+
+    Every other coordinate weighs at least 1/m_i, so coordinate j of such
+    an exponent has weight at most alpha minus their sum.
+    """
+    alpha = Fraction(alpha)
+    bounds = []
+    for j, m in enumerate(ms):
+        room = alpha - sum(Fraction(1, mi) for i, mi in enumerate(ms) if i != j)
+        k = 0
+        while bf_micro_weight(m, k) <= room:
+            k += 1
+        bounds.append(k)
+    return [nu for nu in itertools.product(*(range(b) for b in bounds))
+            if sum(bf_micro_weight(m, k) for m, k in zip(ms, nu)) == alpha]
+
+
+def bf_check_basis(basis: QuotientBasis, dim: int) -> None:
+    """Assert the row invariant of a basis: read-only int64 rows of shape
+    (n, dim), strictly increasing in lex order, read back as the same
+    tuples, and equal bases hashing equal."""
+    rows = basis.rows
+    assert rows.dtype == np.int64 and not rows.flags.writeable
+    assert rows.ndim == 2 and rows.shape[1] == dim and basis.dim == len(rows)
+    tuples = [tuple(r) for r in rows.tolist()]
+    assert all(a < b for a, b in zip(tuples, tuples[1:]))
+    assert basis.exponents == tuple(tuples)
+    twin = QuotientBasis(rows.copy())
+    assert twin == basis and hash(twin) == hash(basis)
+
+
+def bf_spectral_poly(ms: Sequence[int]) -> tuple[int, dict[int, int]]:
+    """Sp(t) = prod_j sum_{i=1}^{m_j - 1} t^(i D / m_j), D = lcm(ms), as
+    (D, {exponent: multiplicity}): the spectral numbers e / D, multiplied
+    out one variable at a time in plain dicts, with no enumeration of the
+    Milnor box."""
+    denom = lcm(*ms)
+    poly = {0: 1}
+    for m in ms:
+        step = denom // m
+        product: dict[int, int] = {}
+        for e, c in poly.items():
+            for i in range(1, m):
+                product[e + i * step] = product.get(e + i * step, 0) + c
+        poly = product
+    return denom, poly
+
+
+def bf_spectral_graded_dim(ms: Sequence[int], alpha: Fraction) -> int:
+    """Number of exponents of microlocal weight exactly alpha, from the spectrum.
+
+    Writing k = (m - 1) q + r with 0 <= r <= m - 2, z^k weighs q + (r + 1)/m,
+    so an exponent of weight alpha is a Milnor-box exponent of spectral
+    number s times a q in N^d with |q| = alpha - s: the weights' generating
+    function is Sp(t) / (1 - t)^d, the Poincaré series of the Milnor
+    algebra (Milnor–Orlik 1970; Steenbrink 1977).  Hence
+    dim Gr^alpha = sum mult(s) C(alpha - s + d - 1, d - 1) over s with
+    alpha - s in N.
+    """
+    d = len(ms)
+    denom, poly = bf_spectral_poly(ms)
+    top = Fraction(alpha) * denom
+    if top.denominator != 1:
+        return 0
+    top = int(top)
+    return sum(c * math.comb((top - e) // denom + d - 1, d - 1)
+               for e, c in poly.items() if e <= top and (top - e) % denom == 0)
+
+
+def bf_spectral_count(ms: Sequence[int], alpha: Fraction, inclusive: bool) -> int:
+    """Number of exponents of microlocal weight < alpha (<= alpha when
+    inclusive), from the spectrum: sum mult(s) C(n + d, d), with n the
+    largest whole number such that s + n < alpha (<= alpha), over the s
+    for which one exists."""
+    d = len(ms)
+    denom, poly = bf_spectral_poly(ms)
+    alpha = Fraction(alpha)
+    below = alpha.denominator * denom
+    total = 0
+    for e, c in poly.items():
+        # alpha - e / denom is room / below, and n is its floor, or the
+        # least integer below it when not inclusive
+        room = alpha.numerator * denom - e * alpha.denominator
+        n = room // below if inclusive else -(-room // below) - 1
+        if n >= 0:
+            total += c * math.comb(n + d, d)
+    return total
 
 
 def bf_spectrum(ms: Sequence[int]) -> dict[Fraction, int]:

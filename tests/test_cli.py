@@ -26,6 +26,8 @@ from tsmult.errors import GermParseError
 from tsmult.filtration import jumpset_of, usual_jumpset
 from tsmult.germs import Germ, diagonal_microlocal_chain
 
+from bruteforce import bf_graded_basis, bf_irrationality_basis
+
 
 def _schema(name):
     text = resources.files("tsmult.schemas").joinpath(f"{name}.json").read_text()
@@ -202,6 +204,37 @@ def test_cmd_irrationality(capsys):
     assert out.strip().splitlines() == ["dim 1", "exps [[0,0,0]]"]
     code, out, _ = _run(capsys, ["irrationality", "--json", "x^3 + y^3 + z^3"])
     _validate(json.loads(out), "irrationality")
+
+
+def _sorted_basis_output(exps, as_json, **head):
+    """A basis printed as the exponent tuples sorted in reverse, the way the
+    CLI printed one before it printed the model's lex-sorted rows reversed."""
+    exps = [list(e) for e in sorted(exps, reverse=True)]
+    if as_json:
+        return json.dumps({**head, "dim": len(exps), "exponents": exps}, indent=2) + "\n"
+    lines = [f"dim {len(exps)}"]
+    if exps:
+        lines.append(f"exps {json.dumps(exps, separators=(',', ':'))}")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("as_json", [False, True])
+@pytest.mark.parametrize("text, ms, alphas", [
+    ("x^7+y^8+z^9", (7, 8, 9), ("1/3", "1", "83/42", "751/252", "503/168")),
+    ("a^3+b^3+c^3+d^3", (3, 3, 3, 3), ("1", "5/3", "2", "8/3")),
+    ("x^5+y^5+z^6", (5, 5, 6), ("1", "5/2", "8/3", "89/30"))])
+def test_basis_output_is_the_reverse_sorted_basis(capsys, text, ms, alphas, as_json):
+    # germs outside the recorded digests, at empty levels and at their
+    # largest graded pieces below 3: the rows printed reversed are the
+    # box-scanned basis sorted in reverse
+    flag = ["--json"] if as_json else []
+    code, out, _ = _run(capsys, ["irrationality", *flag, text])
+    assert code == 0 and out == _sorted_basis_output(bf_irrationality_basis(ms), as_json)
+    for alpha in map(F, alphas):
+        code, out, _ = _run(capsys, ["graded", "--window", "3", "--alpha", str(alpha),
+                                     *flag, text])
+        want = _sorted_basis_output(bf_graded_basis(ms, alpha), as_json, alpha=str(alpha))
+        assert code == 0 and out == want, (text, alpha)
 
 
 # ---- error handling and exit codes ----

@@ -14,8 +14,8 @@ from tsmult.germs import (Germ, diagonal_microlocal_chain, diagonal_usual_chain,
                           lct, one_var_microlocal_chain)
 from tsmult.weights import generators_at
 
-from bruteforce import (bf_diagonal_gens, bf_irrationality_basis, bf_micro_weight,
-                        bf_pair_sum_v, bf_sumset, bf_ts_graded)
+from bruteforce import (bf_check_basis, bf_diagonal_gens, bf_irrationality_basis,
+                        bf_micro_weight, bf_pair_sum_v, bf_sumset, bf_ts_graded)
 
 
 def test_convolve_pairs_match_direct():
@@ -211,7 +211,11 @@ def test_ts_graded_matches_per_level_oracle(d):
         den = 2 * math.lcm(*ms)  # alpha on (1/2D)Z, half of it off the levels' lattice
         for n in range(1, 2 * den):
             alpha = F(n, den)
-            assert ts_graded(c1, c2, alpha) == bf_ts_graded(c1, c2, alpha), (ms, cut, alpha)
+            blocks = ts_graded(c1, c2, alpha)
+            assert blocks == bf_ts_graded(c1, c2, alpha), (ms, cut, alpha)
+            for block in blocks:
+                bf_check_basis(block.basis1, cut)
+                bf_check_basis(block.basis2, d - cut)
 
 
 def test_irrationality_goldens():
@@ -245,6 +249,7 @@ def test_irrationality_module_matches_bruteforce(d, top):
     for ms in itertools.product(range(2, top), repeat=d):
         basis = irrationality_module(Germ(ms))
         assert list(basis.exponents) == bf_irrationality_basis(ms), ms
+        bf_check_basis(basis, d)
 
 
 def test_alpha_one_colengths_match_bruteforce():

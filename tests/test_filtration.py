@@ -17,7 +17,7 @@ from tsmult.germs import (Germ, diagonal_microlocal_chain, diagonal_usual_chain,
 from tsmult.monomial import MonomialIdeal
 from tsmult.weights import diagonal_model, rescaled
 
-from bruteforce import bf_diagonal_gens, bf_weight_levels
+from bruteforce import bf_check_basis, bf_diagonal_gens, bf_weight_levels
 
 
 def test_one_var_cubic_chain_golden():
@@ -139,6 +139,8 @@ def test_graded_at_cusp():
     assert graded_at(chain, F(7, 6)).exponents == ((0, 1),)
     assert graded_at(chain, F(1)).dim == 0
     assert graded_at(chain, F(1, 2)).dim == 0
+    for alpha in (F(5, 6), F(7, 6), F(1), F(1, 2)):
+        bf_check_basis(graded_at(chain, alpha), 2)
 
 
 def test_jumpset_and_usual_jumpset():

@@ -1,9 +1,14 @@
+import copy
+import pickle
+
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from tsmult.errors import DimensionMismatch
-from tsmult.monomial import MonomialIdeal, external_product, ideal_sum, minimal_antichain
+from tsmult.monomial import (MonomialIdeal, QuotientBasis, external_product, ideal_sum,
+                             minimal_antichain)
 
 from bruteforce import bf_member, bf_minimal, bf_permuted
 
@@ -87,3 +92,15 @@ def test_json_round_trip():
     ideal = MonomialIdeal(2, [(1, 0), (0, 2)])
     assert MonomialIdeal.from_json(ideal.to_json()) == ideal
     assert ideal.to_json() == {"dim": 2, "gens": [[0, 2], [1, 0]]}
+
+
+def test_quotient_basis_is_immutable_and_pickles_read_only():
+    basis = QuotientBasis(np.array([[0, 1], [1, 0]], dtype=np.int64))
+    with pytest.raises(ValueError):
+        basis.rows[0, 0] = 5
+    with pytest.raises(AttributeError):
+        basis.rows = basis.rows
+    for restored in (pickle.loads(pickle.dumps(basis)), copy.deepcopy(basis)):
+        assert restored == basis and hash(restored) == hash(basis)
+        assert not restored.rows.flags.writeable
+    assert basis != QuotientBasis(basis.rows[:1]) and basis.exponents == ((0, 1), (1, 0))

@@ -1,5 +1,7 @@
 import functools
 import itertools
+import math
+import random
 import tracemalloc
 from fractions import Fraction as F
 
@@ -9,14 +11,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tsmult import spectral
+from tsmult.convolution import irrationality_module, ts_graded
 from tsmult.errors import ResourceLimit
-from tsmult.germs import Germ, milnor_number, ts_sum
+from tsmult.filtration import graded_at
+from tsmult.germs import Germ, diagonal_microlocal_chain, milnor_number, ts_sum
 from tsmult.spectral import (EigenTable, Spectrum, consistency_check,
                              fold_spectrum, one_var_eigentable, phi_convolve,
                              spectrum_convolve, spectrum_of)
-from tsmult.weights import diagonal_model, graded_exponents
+from tsmult.weights import diagonal_model, graded_exponents, quotient_exponents
 
-from bruteforce import bf_fold, bf_spectrum
+from bruteforce import (bf_fold, bf_spectral_count, bf_spectral_graded_dim,
+                        bf_spectrum)
 
 
 def test_one_var_eigentable():
@@ -175,6 +180,54 @@ def test_spectrum_equals_first_block_graded_dims():
             block = [e for e in graded_exponents(model, value)
                      if all(k <= m - 2 for k, m in zip(e, ms))]
             assert len(block) == mult, (ms, value)
+
+
+def _spectral_count_cases(count=300, seed=1977):
+    """(ms, alpha) with d = 1..4, m <= 9 and alpha < 3 on (1/2D)Z, so half
+    of the alphas are off the lattice of weights."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        ms = tuple(rng.randint(2, 9) for _ in range(rng.randint(1, 4)))
+        den = 2 * math.lcm(*ms)
+        yield ms, F(rng.randrange(1, 3 * den), den)
+
+
+def test_dimensions_match_the_spectral_count():
+    # every graded and quotient size against Sp(t) / (1 - t)^d, which
+    # reads no weight model and enumerates no box
+    for ms, alpha in _spectral_count_cases():
+        graded = bf_spectral_graded_dim(ms, alpha)
+        chain = diagonal_microlocal_chain(Germ(ms), window=alpha + F(1, 2))
+        assert graded_at(chain, alpha).dim == graded, (ms, alpha)
+        assert len(graded_exponents(chain.model, alpha)) == graded, (ms, alpha)
+        for strict in (False, True):
+            assert len(quotient_exponents(chain.model, alpha, strict)) == \
+                bf_spectral_count(ms, alpha, inclusive=strict), (ms, alpha, strict)
+        if len(ms) > 1:
+            cut = len(ms) // 2
+            c1 = diagonal_microlocal_chain(Germ(ms[:cut]), window=alpha + F(1, 2))
+            c2 = diagonal_microlocal_chain(Germ(ms[cut:]), window=alpha + F(1, 2))
+            assert sum(b.dim for b in ts_graded(c1, c2, alpha)) == graded, (ms, alpha)
+            assert irrationality_module(Germ(ms)).dim == \
+                bf_spectral_count(ms, 1, inclusive=True), ms
+
+
+def test_spectral_count_past_box_enumeration():
+    # boxes of 80^3 and ~10^6 candidates; the models are cut just above alpha
+    ms = (80, 80, 80)
+    model = diagonal_model(ms, cap=F(81, 80))
+    assert len(graded_exponents(model, F(1))) == bf_spectral_graded_dim(ms, 1) == 3081
+    assert len(quotient_exponents(model, F(1), strict=True)) == \
+        bf_spectral_count(ms, 1, inclusive=True) == 82160
+    assert len(quotient_exponents(model, F(1), strict=False)) == \
+        bf_spectral_count(ms, 1, inclusive=False)
+    c1 = diagonal_microlocal_chain(Germ((80,)), window=F(3, 2))
+    c2 = diagonal_microlocal_chain(Germ((80, 80)), window=F(3, 2))
+    assert sum(b.dim for b in ts_graded(c1, c2, F(1))) == 3081
+    ms, alpha = (30, 31, 32, 33), F(3, 2)
+    model = diagonal_model(ms, cap=alpha + F(1, math.lcm(*ms)))
+    assert len(quotient_exponents(model, alpha, strict=True)) == \
+        bf_spectral_count(ms, alpha, inclusive=True) == 172080
 
 
 @settings(max_examples=60, deadline=None)
