@@ -153,7 +153,7 @@ def cmd_ideal(args: argparse.Namespace) -> Output:
     if args.json:
         return 0, _json(scaled.to_json())
     power = f"power {scaled.power} " if scaled.power else ""
-    gens = [list(g) for g in reversed(scaled.ideal.gens)]
+    gens = scaled.ideal.rows[::-1].tolist()  # the rows are lex-sorted and distinct
     return 0, [f"{power}gens {json.dumps(gens, separators=(',', ':'))}"]
 
 

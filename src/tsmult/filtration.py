@@ -30,23 +30,20 @@ class JumpStep:
 def _make_steps(model: weights.WeightModel, window: Fraction) -> tuple[JumpStep, ...]:
     """The steps of weights._strict_steps(model, window), made in one batch.
 
-    Each atom that is ever a generator becomes one tuple, shared by every
-    step it is in.  None of the objects made here can be part of a cycle,
+    Each step's ideal holds a slice of one array of generator rows, marked
+    read-only once.  None of the objects made here can be part of a cycle,
     so the cyclic collector is paused while they are made; left running,
     it walks them again and again, about a fifth of the build's time.
     """
-    keys, offsets, used, pairs = weights._strict_steps(model, window)
+    keys, offsets, gens = weights._strict_steps(model, window)
+    rows = model.exps[gens]
+    rows.flags.writeable = False
     resume = gc.isenabled()
     gc.disable()
     try:
-        gens = np.fromiter(map(tuple, model.exps[used].tolist()), dtype=object,
-                           count=len(used))
-        pair_gens = gens[pairs].tolist()
         bounds = offsets.tolist()
-        return tuple(
-            JumpStep(Fraction(v, model.denom),
-                     MonomialIdeal(model.dim, pair_gens[lo:hi], _trusted=True))
-            for v, lo, hi in zip(keys.tolist(), bounds, bounds[1:]))
+        return tuple(JumpStep(Fraction(v, model.denom), MonomialIdeal._of(rows[lo:hi]))
+                     for v, lo, hi in zip(keys.tolist(), bounds, bounds[1:]))
     finally:
         if resume:
             gc.enable()
@@ -135,15 +132,11 @@ class JumpChain:
         return alpha
 
     def to_json(self) -> dict:
-        if self.mode == "J":
-            jumps = [{"level": str(s.level), "ideal": s.ideal.to_json()} for s in self.steps]
-        else:
-            # V-mode: a level carries the value of the segment ending there
-            prev = self.top
-            jumps = []
-            for s in self.steps:
-                jumps.append({"level": str(s.level), "ideal": prev.to_json()})
-                prev = s.ideal
+        ideals = [s.ideal for s in self.steps]
+        if self.mode == "V":
+            # a level carries the value of the segment ending there
+            ideals = [self.top, *ideals[:-1]]
+        jumps = [{"level": str(s.level), "ideal": i.to_json()} for s, i in zip(self.steps, ideals)]
         return {
             "mode": self.mode,
             "window": str(self.window),

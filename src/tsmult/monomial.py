@@ -1,16 +1,16 @@
 """Exact monomial-ideal arithmetic.
 
 Ideals in k[[z_1..z_d]] generated by monomials are represented by the
-minimal antichain of generator exponents, stored lex-sorted so that equal
-ideals compare equal structurally.  All rational numbers in the package
-are `fractions.Fraction`; floats are rejected at the boundary.
+minimal antichain of generator exponents, and quotient bases by their
+exponents: each as the rows of one read-only int64 array, lex-sorted, so
+that equal sets compare equal structurally.  All rational numbers in the
+package are `fractions.Fraction`; floats are rejected at the boundary.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -34,152 +34,151 @@ def as_fraction(x: object) -> Fraction:
     raise TypeError(f"expected an exact rational, got {type(x).__name__}")
 
 
-def _dominates(p: Exponent, q: Exponent) -> bool:
-    """True when q >= p componentwise, i.e. monomial q lies in (z^p)."""
-    return all(a <= b for a, b in zip(p, q))
-
-
 def minimal_antichain(points: Iterable[Exponent]) -> tuple[Exponent, ...]:
     """Reduce a set of exponents to its minimal elements, lex-sorted."""
-    pts = sorted(set(points), key=lambda t: (sum(t), t))
     kept: list[Exponent] = []
-    for p in pts:
-        # sorted by total degree, so only earlier points can dominate p
-        if not any(_dominates(k, p) for k in kept):
+    for p in sorted(set(points)):
+        # a point lex-precedes every other point it divides, so only kept
+        # points can divide p
+        if not any(all(a <= b for a, b in zip(k, p)) for k in kept):
             kept.append(p)
-    return tuple(sorted(kept))
+    return tuple(kept)
 
 
-class MonomialIdeal:
+class _Rows:
+    """A set of exponents as rows, one read-only int64 array of shape (n, d)
+    whose rows are distinct and lex-sorted, so equal sets hold equal arrays."""
+
+    __slots__ = ("rows",)
+
+    def __init__(self, rows: np.ndarray):
+        rows.flags.writeable = False
+        object.__setattr__(self, "rows", rows)
+
+    @classmethod
+    def _of(cls, rows: np.ndarray):
+        """The set of rows, canonical and read-only already; runs no constructor."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "rows", rows)
+        return self
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __setstate__(self, state: tuple[None, dict]) -> None:
+        """Pickle and copy restore a set here; its rows come back writeable."""
+        _Rows.__init__(self, state[1]["rows"])
+
+    def _tuples(self) -> tuple[Exponent, ...]:
+        return tuple(map(tuple, self.rows.tolist()))
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is type(self) and np.array_equal(self.rows, other.rows)
+
+    def __hash__(self) -> int:
+        return hash((self.rows.shape, self.rows.tobytes()))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self.rows.tolist()}, shape={self.rows.shape})"
+
+
+class MonomialIdeal(_Rows):
     """A monomial ideal, canonically represented.
 
-    gens is the lex-sorted tuple of minimal generator exponents; the zero
-    ideal has no generators, the unit ideal has the single generator 0.
+    rows are its minimal generator exponents; the zero ideal has none, the
+    unit ideal the single row 0.  gens reads them as tuples.
     """
 
-    __slots__ = ("dim", "gens")
+    __slots__ = ()
 
-    dim: int
-    gens: tuple[Exponent, ...]
+    gens = property(_Rows._tuples)
 
-    def __init__(self, dim: int, gens: Iterable[Sequence[int]], *, _trusted: bool = False):
+    def __init__(self, dim: int, gens: Iterable[Sequence[int]]):
         if dim < 1:
             raise ValueError("ideal needs at least one variable")
-        object.__setattr__(self, "dim", dim)
-        if _trusted:
-            object.__setattr__(self, "gens", tuple(gens))  # type: ignore[arg-type]
-            return
         cleaned: list[Exponent] = []
         for g in gens:
             t = tuple(g)
             if len(t) != dim:
                 raise DimensionMismatch(f"generator {t} has {len(t)} coords, expected {dim}")
-            if any((not isinstance(v, (int, np.integer))) or isinstance(v, bool) or v < 0 for v in t):
-                raise ValueError(f"generator {t} must have nonnegative integer coords")
+            if any(not isinstance(v, (int, np.integer)) or isinstance(v, bool)
+                   or not 0 <= v < 1 << 63 for v in t):
+                raise ValueError(f"generator {t} must have nonnegative int64 coords")
             cleaned.append(tuple(int(v) for v in t))
-        object.__setattr__(self, "gens", minimal_antichain(cleaned))
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("MonomialIdeal is immutable")
-
-    def __reduce__(self) -> tuple:
-        # pickle and copy rebuild through the constructor, not the slots,
-        # which __setattr__ refuses; the gens are canonical already
-        return partial(MonomialIdeal, _trusted=True), (self.dim, self.gens)
+        super().__init__(np.array(minimal_antichain(cleaned), dtype=np.int64).reshape(-1, dim))
 
     @classmethod
     def unit(cls, dim: int) -> "MonomialIdeal":
-        return cls(dim, [(0,) * dim], _trusted=True)
+        return cls(dim, [(0,) * dim])
 
     @classmethod
     def zero(cls, dim: int) -> "MonomialIdeal":
-        return cls(dim, [], _trusted=True)
+        return cls(dim, [])
+
+    @property
+    def dim(self) -> int:
+        return self.rows.shape[1]
 
     @property
     def is_unit(self) -> bool:
-        return len(self.gens) == 1 and not any(self.gens[0])
+        return len(self.rows) == 1 and not self.rows.any()
 
     @property
     def is_zero(self) -> bool:
-        return not self.gens
+        return not len(self.rows)
 
     def contains(self, exponent: Sequence[int]) -> bool:
         """Monomial membership: z^exponent lies in the ideal."""
         e = tuple(exponent)
         if len(e) != self.dim:
             raise DimensionMismatch(f"exponent {e} has {len(e)} coords, expected {self.dim}")
-        return any(_dominates(g, e) for g in self.gens)
+        return bool((self.rows <= e).all(axis=1).any())
 
     def contained_in(self, other: "MonomialIdeal") -> bool:
         if self.dim != other.dim:
             raise DimensionMismatch("ideals live in different variable counts")
-        return all(other.contains(g) for g in self.gens)
+        return all(other.contains(g) for g in self.rows)
 
     def to_json(self) -> dict:
-        return {"dim": self.dim, "gens": [list(g) for g in self.gens]}
+        return {"dim": self.dim, "gens": self.rows.tolist()}
 
     @classmethod
     def from_json(cls, obj: dict) -> "MonomialIdeal":
-        return cls(int(obj["dim"]), [tuple(int(v) for v in g) for g in obj["gens"]])
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, MonomialIdeal):
-            return NotImplemented
-        return self.dim == other.dim and self.gens == other.gens
-
-    def __hash__(self) -> int:
-        return hash((self.dim, self.gens))
-
-    def __repr__(self) -> str:
-        return f"MonomialIdeal(dim={self.dim}, gens={list(self.gens)})"
+        return cls(int(obj["dim"]), obj["gens"])  # the constructor checks every coordinate
 
 
 def ideal_sum(*ideals: MonomialIdeal) -> MonomialIdeal:
     if not ideals:
         raise ValueError("ideal_sum needs at least one ideal")
     dim = ideals[0].dim
-    gens: list[Exponent] = []
-    for ideal in ideals:
-        if ideal.dim != dim:
-            raise DimensionMismatch("ideals live in different variable counts")
-        gens.extend(ideal.gens)
-    return MonomialIdeal(dim, gens)
+    if any(ideal.dim != dim for ideal in ideals):
+        raise DimensionMismatch("ideals live in different variable counts")
+    return MonomialIdeal(dim, np.concatenate([ideal.rows for ideal in ideals]).tolist())
 
 
 def external_product(left: MonomialIdeal, right: MonomialIdeal) -> MonomialIdeal:
-    """Ideal generated by g*h over the disjoint union of the variables."""
-    dim = left.dim + right.dim
-    gens = [g + h for g in left.gens for h in right.gens]
-    # pairs of antichain elements already form an antichain
-    return MonomialIdeal(dim, sorted(gens), _trusted=True)
+    """Ideal generated by g*h over the disjoint union of the variables.
+
+    The products of two antichains form an antichain, and taken with g
+    outer and h inner they come out lex-sorted, as each factor's rows are.
+    """
+    rows = np.concatenate((left.rows.repeat(len(right.rows), axis=0),
+                           np.tile(right.rows, (len(left.rows), 1))), axis=1)
+    rows.flags.writeable = False
+    return MonomialIdeal._of(rows)
 
 
-@dataclass(frozen=True, eq=False)
-class QuotientBasis:
-    """Monomial basis of a finite-dimensional quotient: rows, a read-only int64
-    array of shape (n, d), holds the exponents, distinct and lex-sorted."""
+class QuotientBasis(_Rows):
+    """Monomial basis of a finite-dimensional quotient: rows are the basis
+    exponents, and exponents reads them as tuples."""
 
-    rows: np.ndarray
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        self.rows.flags.writeable = False
-
-    def __reduce__(self) -> tuple:
-        return QuotientBasis, (self.rows,)  # so a copy's rows are read-only too
+    exponents = property(_Rows._tuples)
 
     @property
     def dim(self) -> int:
         return len(self.rows)
-
-    @property
-    def exponents(self) -> tuple[Exponent, ...]:
-        return tuple(map(tuple, self.rows.tolist()))
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, QuotientBasis) and np.array_equal(self.rows, other.rows)
-
-    def __hash__(self) -> int:
-        return hash(self.rows.tobytes())
 
 
 @dataclass(frozen=True)

@@ -213,11 +213,9 @@ def summation_path(m1: int, m2: int, alpha: Rat) -> MonomialIdeal:
     points.update(alpha - Fraction(j, m2) for j in range(1, m2)
                   if 0 < alpha - Fraction(j, m2))
     grid = sorted(points)
-    split_route = MonomialIdeal.zero(2)
-    for lo, hi in zip(grid, grid[1:]):
-        # on (lo, hi) both factors are constant by right-continuity
-        block = external_product(j_lookup(c1, lo), j_lookup(c2, alpha - hi))
-        split_route = ideal_sum(split_route, block)
+    # on each (lo, hi) both factors are constant by right-continuity
+    split_route = ideal_sum(*(external_product(j_lookup(c1, lo), j_lookup(c2, alpha - hi))
+                              for lo, hi in zip(grid, grid[1:])))
     if newton_route != split_route:
         raise OracleMismatch(
             f"summation routes disagree for ({m1},{m2}) at {alpha}: "

@@ -84,7 +84,7 @@ def _top(model: WeightModel) -> int:
     return max(int(model.weight[0]), _cut(model.cap, model.denom) - 1)
 
 
-def _one_var_scaled(m: int, cap: Fraction, denom: int, usual: bool) -> np.ndarray:
+def _one_var_scaled(m: int, cap: Fraction, denom: int, usual: bool, held: int = 0) -> np.ndarray:
     """Weight numerators over denom for z^k, k = 0.. while weight < cap.
 
     The numerators over m, k + 1 (usual) or k + 1 + k // (m - 1)
@@ -92,12 +92,12 @@ def _one_var_scaled(m: int, cap: Fraction, denom: int, usual: bool) -> np.ndarra
     are a prefix: 1 .. B - 1 (usual), or the positive integers below B
     not divisible by m (microlocal).  Their count is known before the
     table is made, which is built in place: at most two int64 arrays of
-    that length are alive, 16 bytes an entry.  z^0 is kept even when its
-    own weight reaches the cap.
+    that length are alive, 16 bytes an entry, admitted plus held, the bytes
+    the caller holds.  z^0 is kept even when its own weight reaches the cap.
     """
     bound = _cut(cap, m) - 1
     n = max(bound if usual else bound - bound // m, 1)
-    _admit(16 * n, f"weight table of z^{m} below {cap} has {n} entries")
+    _admit(16 * n + held, f"weight table of z^{m} below {cap} has {n} entries")
     nums = np.arange(n, dtype=np.int64)
     if not usual:
         nums += nums // (m - 1)
@@ -131,21 +131,28 @@ def diagonal_model(ms: Sequence[int], cap: Fraction, usual: bool = False) -> Wei
     _admit_int64(max(_cut(cap, denom), sum(denom // m for m in ms)),
                  "weight model of {} below {}", ms, cap)
     what = f"weight model of {ms} below {cap}"
-    tables = [_one_var_scaled(m, cap, denom, usual) for m in ms]
-    rest = sum(int(t[0]) for t in tables[1:])
-    factors = []
+    # bytes held beside the step admitted next: the tables not yet folded,
+    # 8 an entry, and the model folded so far, 8 · (dim + 2) an atom
+    tables, held = [], 0
+    for m in ms:
+        tables.append(_one_var_scaled(m, cap, denom, usual, held))
+        held += 8 * len(tables[-1])
+    rest = sum(int(t[0]) for t in tables)
+    model = None
     while tables:
         n = len(tables[0])
-        _admit(24 * n, f"{what} has {n} atoms")
+        held -= 8 * n
+        _admit(24 * n + held, f"{what} has {n} atoms")
         # weight and drop read one buffer at two offsets: z^k drops to the
         # weight of z^(k-1), z^0 to NO_DROP.  The table is freed once copied
         both = np.concatenate(([NO_DROP], tables.pop(0)))
-        factors.append(WeightModel(1, denom, cap, np.arange(n, dtype=np.int64)[:, None],
-                                   both[1:], both[:-1]))
-    model = factors[0]
-    for f in factors[1:]:
-        rest -= int(f.weight[0])
-        model = _pair(model, f, cap - Fraction(rest, denom), what)
+        rest -= int(both[1])
+        f = WeightModel(1, denom, cap, np.arange(n, dtype=np.int64)[:, None], both[1:], both[:-1])
+        if model is not None:
+            held -= 8 * (model.dim + 2) * len(model.weight)
+            f = _pair(model, f, cap - Fraction(rest, denom), what, held)
+        model = f
+        held += 8 * (model.dim + 2) * len(model.weight)
     return model
 
 
@@ -172,7 +179,8 @@ def convolve(a: WeightModel, b: WeightModel, cap: Fraction | None = None) -> Wei
                                 f"atoms below {cap_out}")
 
 
-def _pair(a: WeightModel, b: WeightModel, cap: Fraction, what: str) -> WeightModel:
+def _pair(a: WeightModel, b: WeightModel, cap: Fraction, what: str,
+          held: int = 0) -> WeightModel:
     """The pairs of atoms of a and b, two models over one denominator, that
     are lighter than cap, as a lex-sorted model; what names it on refusal.
 
@@ -187,18 +195,22 @@ def _pair(a: WeightModel, b: WeightModel, cap: Fraction, what: str) -> WeightMod
     b is the lightest.  Each array is released once the next is made from
     it, so beside the exponents at most three pair-sized int64 arrays and
     a mask are alive: 8 · (dim + 3) + 1 bytes a pair, admitted at
-    8 · (dim + 4) for each pair and each row read, since a fold holds a.
+    8 · (dim + 4) for each pair and each row read, since a fold holds a,
+    plus held, the bytes the caller holds beside a and b.  The rows' share
+    is admitted first: it covers the counts, made before the pairs are.
     """
     denom = a.denom
     na, nb = len(a.weight), len(b.weight)
     _admit_int64(_top(a) + _top(b), "pair weights of {} x {} atoms", na, nb)
+    dim = a.dim + b.dim
+    held += 8 * (dim + 4) * (na + nb)
+    _admit(held, f"{what} pairs {na} x {nb} atoms")
     by_weight = None if b.dim == 1 else np.argsort(b.weight)
     sorted_b = b.weight if by_weight is None else b.weight[by_weight]
     counts = np.searchsorted(sorted_b, _cut(cap, denom) - a.weight)
     counts[0] = max(counts[0], 1)  # the zero exponent, first in lex order
     n = int(counts.sum())
-    dim = a.dim + b.dim
-    _admit(8 * (dim + 4) * (n + na + nb), f"{what} has {n} atoms")
+    _admit(8 * (dim + 4) * n + held, f"{what} has {n} atoms")
     ia, ib = _prefixes(counts, n)
     if by_weight is not None:
         ib = ia * nb + by_weight[ib]
@@ -241,19 +253,18 @@ def generators_at(model: WeightModel, alpha: Fraction, strict: bool) -> Monomial
     if _near_cap(model, t):
         raise WindowExceeded(f"threshold {alpha} is too close to the model cap {model.cap}")
     rows = model.exps[(model.weight >= t) & (model.drop < t)]
-    return MonomialIdeal(model.dim, map(tuple, rows.tolist()), _trusted=True)
+    rows.flags.writeable = False
+    return MonomialIdeal._of(rows)
 
 
-def _strict_steps(model: WeightModel, hi: Fraction
-                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def _strict_steps(model: WeightModel, hi: Fraction) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The step table of the chain of {w > v} for the achieved levels v in (0, hi).
 
-    Four integer arrays: keys, the levels' numerators over model.denom,
-    ascending; offsets, one per level plus one; used, the rows of the atoms
-    that are ever a generator, ascending; and pairs, one per (level,
-    generator) pair, grouped by level, an index into used.  The minimal
-    generators of {w > keys[i] / denom} are the rows
-    model.exps[used[pairs[offsets[i]:offsets[i + 1]]]], in lex order.
+    Three integer arrays: keys, the levels' numerators over model.denom,
+    ascending; offsets, one per level plus one; and gens, one per (level,
+    generator) pair, grouped by level, the generator's row of model.exps.
+    The minimal generators of {w > keys[i] / denom} are the rows
+    model.exps[gens[offsets[i]:offsets[i + 1]]], in lex order.
 
     Invariant: an atom g is a minimal generator of {w > v} exactly when
     drop(g) <= v < w(g).  Proof: w is monotone, so {w > v} is an upward
@@ -285,9 +296,8 @@ def _strict_steps(model: WeightModel, hi: Fraction
     pair = np.repeat((first[used] - starts) * n + np.arange(n), runs)
     pair += n * np.arange(int(runs.sum()), dtype=np.int64)
     pair.sort()
-    pairs = pair % n
     offsets = np.searchsorted(pair, np.arange(len(keys) + 1) * n)
-    return keys, offsets, used, pairs
+    return keys, offsets, used[pair % n]
 
 
 def graded_exponents(model: WeightModel, alpha: Fraction) -> np.ndarray:

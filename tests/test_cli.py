@@ -533,9 +533,27 @@ def test_pair_sums_refused_before_allocating_under_cap():
 
 def test_weight_table_refused_before_allocating_under_cap():
     # a one-variable table is admitted at the two int64 arrays its build
-    # holds, so these end in a refusal, not in numpy's out-of-memory error
+    # holds, a pairing at the rows it reads before it counts its pairs, and
+    # each beside the tables and the model the build still holds, so these
+    # end in a refusal, not in numpy's out-of-memory error
     limit = 1 << 30
-    argvs = [["ideal", "--alpha", "1/2", germ] for germ in ("x^40000000", "x^40000000+y^2")]
+    table = "weight table of z^40000000 below 3 has 119999997 entries: 1919999952 bytes "
+    expected = {
+        "x^40000000": table,
+        "x^40000000+y^2": table,
+        # the x table, 408 MB, is held while the y table is made
+        "x^17000000+y^17000000": "weight table of z^17000000 below 3 has 50999997 entries: "
+                                 "1223999928 bytes ",
+        "x^12000000+y^2": "weight model of (12000000, 2) below 3 pairs 35999997 x 3 atoms: "
+                          "1728000000 bytes ",
+        # the z table, 216 MB, is held while x and y are paired
+        "x^2000+y^2000+z^9000000": "weight model of (2000, 2000, 9000000) below 3 has "
+                                   "17979006 atoms: 1079567976 bytes ",
+        # the model of x and y, 466 MB, is held while the z factor is made
+        "x^1800+y^1800+z^9000000": "weight model of (1800, 1800, 9000000) below 3 has "
+                                   "26999997 atoms: 1113955320 bytes ",
+    }
+    argvs = [["ideal", "--alpha", "1/2", germ] for germ in expected]
     proc = subprocess.run(
         [sys.executable, "-c", _CHILD_COMMANDS, json.dumps(argvs)],
         capture_output=True, text=True, env=_child_env(), timeout=120,
@@ -545,8 +563,7 @@ def test_weight_table_refused_before_allocating_under_cap():
     assert len(results) == len(argvs)
     for argv, (code, out_chars, err) in zip(argvs, results):
         assert (code, out_chars, err.count("\n")) == (2, 0, 1), (argv, err)
-        assert err.startswith("error: weight table of z^40000000 below 3 has 119999997 "
-                              "entries: 1919999952 bytes "), (argv, err)
+        assert err.startswith("error: " + expected[argv[-1]]), (argv, err)
 
 
 def test_admitted_pair_sum_fits_under_cap():

@@ -103,8 +103,10 @@ def test_steps_share_generators_and_resume_the_collector():
             JumpStep(F(11, 6), MonomialIdeal(2, [(0, 3), (1, 1), (2, 0)])))
     steps = diagonal_microlocal_chain(Germ((2, 3)), window=F(2)).steps
     assert steps == want
-    # one tuple per generator, shared by the steps it is in
-    assert steps[0].ideal.gens[1] is steps[1].ideal.gens[1]
+    # the steps' generator rows are read-only slices of one array
+    assert not any(s.ideal.rows.flags.writeable for s in steps)
+    base = steps[0].ideal.rows.base
+    assert base is not None and all(s.ideal.rows.base is base for s in steps)
     assert diagonal_microlocal_chain(Germ((2, 3)), window=F(1, 2)).steps == ()
     # the collector paused for the build is left as it was found
     assert gc.isenabled()

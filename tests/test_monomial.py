@@ -1,5 +1,6 @@
 import copy
 import pickle
+from fractions import Fraction as F
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from tsmult.errors import DimensionMismatch
+from tsmult.germs import Germ, diagonal_microlocal_chain
 from tsmult.monomial import (MonomialIdeal, QuotientBasis, external_product, ideal_sum,
                              minimal_antichain)
 
@@ -41,6 +43,8 @@ def test_unit_and_zero():
     assert not zero.contains((0, 0))
     assert zero.contained_in(unit)
     assert not unit.contained_in(zero)
+    # a zero ideal keeps its variable count in the shape of its rows
+    assert zero.rows.shape == (0, 2) and zero != MonomialIdeal.zero(3)
 
 
 @given(points_2d, st.tuples(st.integers(0, 8), st.integers(0, 8)))
@@ -57,6 +61,11 @@ def test_containment_and_sum(pts_a, pts_b):
     assert a.contained_in(s) and b.contained_in(s)
     assert s == ideal_sum(b, a)
     assert s == MonomialIdeal(2, list(pts_a) + list(pts_b))
+    # the external product pairs the rows with no sort: they come out
+    # strictly lex-increasing and equal to the reduced products
+    p = external_product(a, b)
+    assert p == MonomialIdeal(4, [g + h for g in a.gens for h in b.gens])
+    assert all(g < h for g, h in zip(p.gens, p.gens[1:]))
 
 
 def test_dimension_mismatch():
@@ -64,6 +73,10 @@ def test_dimension_mismatch():
         ideal_sum(MonomialIdeal.unit(2), MonomialIdeal.unit(3))
     with pytest.raises(DimensionMismatch):
         MonomialIdeal(2, [(1, 2, 3)])
+    # coordinates must be nonnegative integers that fit the int64 rows
+    for bad in ((-1, 0), (1 << 63, 0), (True, 0), (1.0, 0)):
+        with pytest.raises(ValueError):
+            MonomialIdeal(2, [bad])
 
 
 def test_external_product():
@@ -92,15 +105,22 @@ def test_json_round_trip():
     ideal = MonomialIdeal(2, [(1, 0), (0, 2)])
     assert MonomialIdeal.from_json(ideal.to_json()) == ideal
     assert ideal.to_json() == {"dim": 2, "gens": [[0, 2], [1, 0]]}
+    # a coordinate that is not an integer is refused, not truncated
+    with pytest.raises(ValueError):
+        MonomialIdeal.from_json({"dim": 2, "gens": [[1.5, 0]]})
 
 
 def test_quotient_basis_is_immutable_and_pickles_read_only():
     basis = QuotientBasis(np.array([[0, 1], [1, 0]], dtype=np.int64))
-    with pytest.raises(ValueError):
-        basis.rows[0, 0] = 5
-    with pytest.raises(AttributeError):
-        basis.rows = basis.rows
-    for restored in (pickle.loads(pickle.dumps(basis)), copy.deepcopy(basis)):
-        assert restored == basis and hash(restored) == hash(basis)
-        assert not restored.rows.flags.writeable
+    ideal = MonomialIdeal(2, [(1, 0), (0, 1), (2, 2)])
+    step = diagonal_microlocal_chain(Germ((2, 3)), window=F(2)).steps[0].ideal
+    for rows_set in (basis, ideal, step):
+        with pytest.raises(ValueError):
+            rows_set.rows[0, 0] = 5
+        with pytest.raises(AttributeError):
+            rows_set.rows = rows_set.rows
+        for restored in (pickle.loads(pickle.dumps(rows_set)), copy.deepcopy(rows_set)):
+            assert restored == rows_set and hash(restored) == hash(rows_set)
+            assert not restored.rows.flags.writeable
     assert basis != QuotientBasis(basis.rows[:1]) and basis.exponents == ((0, 1), (1, 0))
+    assert ideal.gens == step.gens == ((0, 1), (1, 0)) and basis != ideal

@@ -216,6 +216,12 @@ def test_table_byte_limit_refuses_before_building(monkeypatch):
                                             rf"has {rows} atoms: {8 * 6 * (rows + 2 * n)} bytes"):
         convolve(quintic, quintic)
     pair = box_model((5, 5), cap=F(4))
+    # the rows a pairing reads are admitted before it counts its pairs
+    reads = 8 * 7 * (n + len(pair.weight))
+    with pytest.raises(ResourceLimit, match=rf"below 4 pairs {n} x {len(pair.weight)} atoms: "
+                                            rf"{reads} bytes"):
+        convolve(quintic, pair)
+    monkeypatch.setattr(weights, "MAX_TABLE_BYTES", reads)
     rows = len(box_model((5, 5, 5), cap=F(4)).weight)
     with pytest.raises(ResourceLimit, match=rf"convolution of {n} x {len(pair.weight)} atoms "
                                             rf"below 4 has {rows} atoms: "
