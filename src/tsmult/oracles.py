@@ -3,7 +3,7 @@
 Five exact oracles (one-variable integrability, rational-LP membership
 in scaled Newton polyhedra, a two-path summation-formula evaluation, the
 weight model by enumeration of the whole exponent box, and the spectrum
-by enumeration of every interior tuple) plus one
+by enumeration of every interior tuple, as integer numerators) plus one
 statistical oracle (Monte Carlo estimation of the defining
 integral over dyadic shells).  The statistical oracle is advisory: it
 never gates a symbolic result, only its own agreement test.  Its shells
@@ -139,17 +139,17 @@ def box_model(ms: Sequence[int], cap: Fraction, usual: bool = False) -> WeightMo
     return _canonical(dim, denom, cap, grid[keep], weight[keep], drop[keep])
 
 
-def enumerated_spectrum(ms: Sequence[int]) -> dict[Fraction, int]:
+def enumerated_spectrum(ms: Sequence[int]) -> Counter[int]:
     """Hodge spectrum of the diagonal germ with exponents ms, tuple by tuple.
 
-    Sums i_1/m_1 + ... + i_d/m_d, as integer numerators over lcm(ms), over
-    every interior tuple 1 <= i_j < m_j.  O(μ) time; kept as the
-    independent route spectral.spectrum_of is checked against, never on
-    the hot path.  A plain dict, so this module needs nothing of spectral.
+    Counts the sums i_1/m_1 + ... + i_d/m_d, as integer numerators over
+    lcm(ms), over every interior tuple 1 <= i_j < m_j.  O(μ) time; kept as
+    the independent route spectral.spectrum_of is checked against, never on
+    the hot path.  A Counter of ints, so this module needs nothing of spectral.
     """
     denom = math.lcm(*ms)
     steps = [range(denom // m, denom, denom // m) for m in ms]
-    return {Fraction(k, denom): c for k, c in Counter(map(sum, product(*steps))).items()}
+    return Counter(map(sum, product(*steps)))
 
 
 def newton_membership(a: MonomialIdeal, nu: Sequence[int], alpha: Rat) -> bool:

@@ -249,19 +249,25 @@ def consistency_check(germ: Germ) -> SpectralReport:
     every interior tuple independently of the pair-sum engine; the fold of
     the spectrum against the convolution of one-variable tables; the
     totals against the Milnor number; the symmetry about dim/2; and the
-    minimum against the minimal level.
+    minimum against the minimal level.  All of it compares int64 numerators;
+    the minimum is the one Fraction made.
     """
+    ms = germ.exponents
     spectrum = spectrum_of(germ)
     folded = fold_spectrum(spectrum)
-    conv = _eigentable_of(germ.exponents)
-    entries = spectrum.as_dict()
-    symmetric = all(entries.get(germ.dim - s) == mult for s, mult in entries.items())
-    min_value = min(entries)
+    conv = _eigentable_of(ms)
+    keys, counts, denom = spectrum.keys, spectrum.counts, spectrum.denom
+    scale, rest = divmod(lcm(*ms), denom)
+    enumeration_match = not rest and (
+        dict(zip((keys * scale).tolist(), counts.tolist())) == enumerated_spectrum(ms))
+    symmetric = (np.array_equal(spectrum.dim * denom - keys[::-1], keys)
+                 and np.array_equal(counts[::-1], counts))
+    min_value = Fraction(int(keys[0]), denom)
     a_tilde = alpha_tilde(germ)
     mu = milnor_number(germ)
     return SpectralReport(
-        exponents=germ.exponents,
-        enumeration_match=(entries == enumerated_spectrum(germ.exponents)),
+        exponents=ms,
+        enumeration_match=enumeration_match,
         folded_table=folded,
         convolved_table=conv,
         tables_match=(folded == conv),

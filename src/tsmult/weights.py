@@ -341,9 +341,13 @@ def _levels_below(model: WeightModel, hi: Fraction) -> np.ndarray:
 
 
 def _runs(keys: np.ndarray) -> np.ndarray:
-    """Index of the first of each run of equal sorted keys: a sort and a diff
-    find distinct values ~40x faster than numpy 2.4's hashing np.unique."""
-    return np.flatnonzero(np.diff(keys, prepend=keys[:1] - 1))
+    """Index of the first of each run of equal sorted keys, from one comparison
+    of each key with the one before it: with the sort, far faster than
+    numpy 2.4's hashing np.unique."""
+    starts = np.empty(len(keys), dtype=bool)
+    starts[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=starts[1:])
+    return np.flatnonzero(starts)
 
 
 class _Table:

@@ -18,7 +18,7 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-@pytest.mark.parametrize("workload", ["chains", "verify"])
+@pytest.mark.parametrize("workload", ["chains", "spectra", "verify"])
 def test_traced_workload_exits_correct(workload):
     run = subprocess.run([sys.executable, "bench/run.py", "--workload", workload, "--seed", "1",
                           "--seconds", "0.3", "--trace", "1"],

@@ -1,5 +1,8 @@
 import itertools
+import math
+import random
 import threading
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -15,7 +18,7 @@ from tsmult.oracles import (Constraint, MonteCarloConfig, exact_monomial_integra
                             fm_feasible, mc_case_set, monte_carlo_integrable,
                             newton_membership, one_var_integrable, summation_path)
 
-from bruteforce import bf_fm_feasible, bf_mc_estimates
+from bruteforce import bf_fm_feasible, bf_mc_estimates, bf_spectrum
 
 
 def test_one_var_integrable_goldens():
@@ -282,3 +285,17 @@ def test_mc_case_set_deterministic_and_gapped():
         assert case.exact_integrable == exact_monomial_integrable(
             case.germ, case.nu, case.alpha)
         assert 0 < case.alpha < 1
+
+
+def test_enumerated_spectrum_is_numerators_over_lcm():
+    # the oracle's contract: a Counter of integer numerators over lcm(ms),
+    # one count per interior tuple, equal to the Fraction brute force
+    rng = random.Random(1985)
+    cases = [(2,), (2, 3), (3, 3, 3), (2, 2, 2, 2)]
+    cases += [tuple(rng.randint(2, 9) for _ in range(rng.randint(1, 4))) for _ in range(20)]
+    for ms in cases:
+        denom = math.lcm(*ms)
+        counter = oracles.enumerated_spectrum(ms)
+        assert type(counter) is Counter and all(type(k) is int for k in counter), ms
+        assert counter.total() == math.prod(m - 1 for m in ms)
+        assert {F(k, denom): c for k, c in counter.items()} == bf_spectrum(ms), ms

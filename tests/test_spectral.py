@@ -3,6 +3,7 @@ import itertools
 import math
 import random
 import tracemalloc
+from collections import Counter
 from fractions import Fraction as F
 
 import numpy as np
@@ -14,7 +15,7 @@ from tsmult import spectral
 from tsmult.convolution import irrationality_module, ts_graded
 from tsmult.errors import ResourceLimit
 from tsmult.filtration import graded_at
-from tsmult.germs import Germ, diagonal_microlocal_chain, milnor_number, ts_sum
+from tsmult.germs import Germ, alpha_tilde, diagonal_microlocal_chain, milnor_number, ts_sum
 from tsmult.spectral import (EigenTable, Spectrum, consistency_check,
                              fold_spectrum, one_var_eigentable, phi_convolve,
                              spectrum_convolve, spectrum_of)
@@ -297,7 +298,97 @@ def test_pair_sum_peak_within_admitted_bytes(monkeypatch, modulus):
 
 
 def test_enumeration_mismatch_fails_the_check(monkeypatch):
-    monkeypatch.setattr(spectral, "enumerated_spectrum", lambda ms: {F(1, 2): 1})
+    # a well-formed wrong multiset: the value 1/2, numerator 3 over lcm(2, 3)
+    monkeypatch.setattr(spectral, "enumerated_spectrum", lambda ms: Counter({3: 1}))
     report = consistency_check(Germ((2, 3)))
     assert not report.enumeration_match and not report.ok
-    assert report.tables_match and report.total_ok
+    assert report.tables_match and report.total_ok and report.symmetric and report.min_ok
+
+
+_CHECKS = ("enumeration_match", "tables_match", "total_ok", "symmetric", "min_ok")
+
+
+def _fraction_fields(ms, entries, enumerated, table, mu, a_tilde):
+    """The report's fields from Fraction dicts: the spectrum's entries, the
+    enumerated spectrum and the eigentable it is checked against."""
+    folded = bf_fold(entries)
+    low = min(entries)
+    return {"exponents": list(ms), "enumeration_match": entries == enumerated,
+            "tables_match": folded == table, "total": sum(entries.values()),
+            "milnor": mu, "total_ok": sum(entries.values()) == mu == sum(folded.values()),
+            "symmetric": all(entries.get(len(ms) - s) == c for s, c in entries.items()),
+            "min_value": str(low), "alpha_tilde": str(a_tilde), "min_ok": low == a_tilde}
+
+
+def _seeded_germs(count, seed, max_mu=4096):
+    rng = random.Random(seed)
+    while count:
+        ms = tuple(rng.randint(2, 12) for _ in range(rng.randint(1, 4)))
+        if math.prod(m - 1 for m in ms) <= max_mu:
+            count -= 1
+            yield ms
+
+
+def test_integer_report_matches_fraction_route():
+    for ms in _seeded_germs(30, seed=2414):
+        germ = Germ(ms)
+        report = consistency_check(germ)
+        entries, brute = spectrum_of(germ).as_dict(), bf_spectrum(ms)
+        want = _fraction_fields(ms, entries, brute, bf_fold(brute),
+                                math.prod(m - 1 for m in ms), sum(F(1, m) for m in ms))
+        doc = report.to_json()
+        assert {key: doc[key] for key in want} == want, ms
+        assert report.min_value == min(brute) and type(report.min_value) is F
+        assert report.folded_table.as_dict() == report.convolved_table.as_dict() == bf_fold(brute)
+        assert report.ok and doc["ok"], ms
+
+
+def _rigged_report(monkeypatch, ms, crafted, rig):
+    """consistency_check(Germ(ms)) with spectrum_of returning crafted and the
+    routes named in rig made to agree with it; the others stay real."""
+    entries = crafted.as_dict()
+    denom = math.lcm(*ms)
+    fakes = {
+        "enumerated_spectrum": lambda ms: Counter({int(v * denom): c for v, c in entries.items()}),
+        "_eigentable_of": lambda ms: EigenTable(bf_fold(entries).items()),
+        "milnor_number": lambda germ: crafted.total,
+        "alpha_tilde": lambda germ: min(entries),
+    }
+    monkeypatch.setattr(spectral, "spectrum_of", lambda germ: crafted)
+    for name in rig:
+        monkeypatch.setattr(spectral, name, fakes[name])
+    germ = Germ(ms)
+    real_table = bf_fold(bf_spectrum(ms))
+    want = _fraction_fields(
+        ms, entries,
+        entries if "enumerated_spectrum" in rig else bf_spectrum(ms),
+        bf_fold(entries) if "_eigentable_of" in rig else real_table,
+        crafted.total if "milnor_number" in rig else milnor_number(germ),
+        min(entries) if "alpha_tilde" in rig else alpha_tilde(germ))
+    return consistency_check(germ), want
+
+
+@pytest.mark.parametrize("ms, crafted, rig, fails", [
+    ((3, 3, 3), Spectrum(3, [(1, 1), (F(4, 3), 3), (2, 1), (F(8, 3), 3)]),
+     {"enumerated_spectrum"}, ["symmetric"]),
+    # the values are symmetric, their counts are not
+    ((3, 3, 3, 3), Spectrum(4, [(F(4, 3), 2), (F(5, 3), 4), (2, 6), (F(7, 3), 3), (F(8, 3), 1)]),
+     {"enumerated_spectrum"}, ["symmetric"]),
+    ((3, 3, 3), Spectrum(3, [(F(1, 3), 3), (1, 1), (2, 1), (F(8, 3), 3)]),
+     {"enumerated_spectrum"}, ["min_ok"]),
+    ((3, 3), Spectrum(2, [(F(2, 3), 1), (1, 3), (F(4, 3), 1)]),
+     {"enumerated_spectrum", "_eigentable_of"}, ["total_ok"]),
+    ((2, 3), Spectrum(2, [(F(5, 7), 1), (F(9, 7), 1)]),
+     {"_eigentable_of", "alpha_tilde"}, ["enumeration_match"]),
+    # 5/4 and 7/4 have the numerators of 5/6 and 7/6; over a denominator
+    # that does not divide lcm(ms) they cannot also be symmetric
+    ((2, 3), Spectrum(2, [(F(5, 4), 1), (F(7, 4), 1)]),
+     {"_eigentable_of", "alpha_tilde"}, ["enumeration_match", "symmetric"]),
+], ids=["asymmetric", "asymmetric counts", "wrong minimum", "count off by one",
+        "denominator outside lcm", "numerators over the wrong denominator"])
+def test_crafted_spectrum_flips_only_its_own_check(monkeypatch, ms, crafted, rig, fails):
+    report, want = _rigged_report(monkeypatch, ms, crafted, rig)
+    doc = report.to_json()
+    assert {key: doc[key] for key in want} == want
+    assert [name for name in _CHECKS if not doc[name]] == fails
+    assert not report.ok and not doc["ok"]

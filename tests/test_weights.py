@@ -347,3 +347,20 @@ def test_rescaled_preserves_values():
     scaled = rescaled(model, model.denom * 5)
     assert models_equal(model, scaled)
     assert generators_at(scaled, F(5, 6), strict=True).gens == ((0, 1), (1, 0))
+
+
+def _runs_by_loop(keys):
+    return [i for i in range(len(keys)) if i == 0 or keys[i] != keys[i - 1]]
+
+
+def test_runs_start_where_a_sorted_key_changes():
+    rng = np.random.default_rng(343)
+    lo, hi = np.iinfo(np.int64).min, np.iinfo(np.int64).max
+    cases = [[], [7], [-3] * 5, list(range(-12, 18, 3)), [lo, lo, 0, hi, hi]]
+    cases += [np.sort(rng.integers(-20, 20, n)) for n in (2, 17, 300, 5000)]
+    for keys in cases:
+        keys = np.asarray(keys, dtype=np.int64)
+        keys.flags.writeable = False  # tables hand _runs read-only keys
+        starts = weights._runs(keys)
+        assert starts.dtype == np.intp
+        assert starts.tolist() == _runs_by_loop(keys.tolist()), keys
