@@ -45,15 +45,36 @@ def minimal_antichain(points: Iterable[Exponent]) -> tuple[Exponent, ...]:
     return tuple(kept)
 
 
-class _Rows:
+class _Frozen:
+    """Base of the exact values: construction and pickle or copy set each field
+    once, arrays read-only, through __setstate__; equal values have one type
+    and every slot equal."""
+
+    __slots__ = ()
+
+    def __setstate__(self, state: tuple[None, dict]) -> None:
+        for name, value in state[1].items():
+            if type(value) is np.ndarray:
+                value.setflags(write=False)
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is type(self) and all(
+            np.array_equal(getattr(self, name), getattr(other, name))
+            for cls in type(self).__mro__ for name in getattr(cls, "__slots__", ()))
+
+
+class _Rows(_Frozen):
     """A set of exponents as rows, one read-only int64 array of shape (n, d)
     whose rows are distinct and lex-sorted, so equal sets hold equal arrays."""
 
     __slots__ = ("rows",)
 
     def __init__(self, rows: np.ndarray):
-        rows.flags.writeable = False
-        object.__setattr__(self, "rows", rows)
+        self.__setstate__((None, {"rows": rows}))
 
     @classmethod
     def _of(cls, rows: np.ndarray):
@@ -62,18 +83,8 @@ class _Rows:
         object.__setattr__(self, "rows", rows)
         return self
 
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    def __setstate__(self, state: tuple[None, dict]) -> None:
-        """Pickle and copy restore a set here; its rows come back writeable."""
-        _Rows.__init__(self, state[1]["rows"])
-
     def _tuples(self) -> tuple[Exponent, ...]:
         return tuple(map(tuple, self.rows.tolist()))
-
-    def __eq__(self, other: object) -> bool:
-        return type(other) is type(self) and np.array_equal(self.rows, other.rows)
 
     def __hash__(self) -> int:
         return hash((self.rows.shape, self.rows.tobytes()))

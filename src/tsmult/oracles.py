@@ -28,7 +28,7 @@ from .errors import OracleMismatch
 from .germs import Germ, diagonal_microlocal_chain, one_var_weight, one_var_usual_chain
 from .filtration import j_lookup, jumpset_of, usual_jumpset
 from .monomial import MonomialIdeal, Rat, external_product, ideal_sum
-from .weights import NO_DROP, WeightModel, _one_var_scaled
+from .weights import NO_DROP, WeightModel
 
 
 def one_var_integrable(g: int, m: int, alpha: Rat) -> bool:
@@ -110,16 +110,22 @@ def _canonical(dim: int, denom: int, cap: Fraction, exps: np.ndarray,
 def box_model(ms: Sequence[int], cap: Fraction, usual: bool = False) -> WeightModel:
     """weights.diagonal_model by enumerating the whole box ∏ len(table_j).
 
-    O(box) time and memory; kept as the independent route the iterated
-    convolution of one-variable models is checked against, never on the
-    hot path.
+    Its one-variable tables come from germs.one_var_weight, not from the
+    closed-form tables diagonal_model folds.  O(box) time and memory; kept
+    as the independent route the iterated convolution of one-variable
+    models is checked against, never on the hot path.
     """
     ms = tuple(int(m) for m in ms)
     if any(m < 2 for m in ms):
         raise ValueError("diagonal model needs all exponents >= 2")
     dim = len(ms)
     denom = math.lcm(*ms)
-    tables = [_one_var_scaled(m, cap, denom, usual) for m in ms]
+    tables = []
+    for m in ms:  # the weights of z^0, z^1, .. below cap; z^0 is always kept
+        table = [one_var_weight(m, 0, usual)]
+        while (w := one_var_weight(m, len(table), usual)) < cap:
+            table.append(w)
+        tables.append(np.array([int(w * denom) for w in table], dtype=np.int64))
     shape = tuple(len(t) for t in tables)
     grid = np.indices(shape, dtype=np.int64).reshape(dim, -1).T
     weight = np.zeros(grid.shape[0], dtype=np.int64)

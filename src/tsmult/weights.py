@@ -11,7 +11,8 @@ germs, so its model is the iterated pairing of one-variable models, and
 _pair is the one routine that pairs.
 
 Weights are stored as int64 numerators over a common denominator so that
-numpy does all comparisons exactly.  _Table is the read-only form of a
+numpy does all comparisons exactly; models compare with ==.  _Table, a
+monomial._Frozen value as monomial sets are, is the read-only form of a
 set of such values, shared by jump sets, spectra and eigentables.
 """
 
@@ -26,7 +27,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .errors import ResourceLimit, WindowExceeded
-from .monomial import MonomialIdeal
+from .monomial import MonomialIdeal, _Frozen
 
 # drop value of the zero exponent, which has no decrements; below every
 # finite drop, and never shifted by a weight (see _pair)
@@ -53,6 +54,16 @@ class WeightModel:
     exps: np.ndarray
     weight: np.ndarray
     drop: np.ndarray
+
+    def __eq__(self, other: object) -> bool:
+        """Equal atom tables over one denominator, so equal derived queries."""
+        if not isinstance(other, WeightModel):
+            return NotImplemented
+        if (self.dim, self.cap) != (other.dim, other.cap):
+            return False
+        denom = lcm(self.denom, other.denom)
+        a, b = rescaled(self, denom), rescaled(other, denom)
+        return all(map(np.array_equal, (a.exps, a.weight, a.drop), (b.exps, b.weight, b.drop)))
 
 
 def _admit(nbytes: int, what: str) -> None:
@@ -350,7 +361,7 @@ def _runs(keys: np.ndarray) -> np.ndarray:
     return np.flatnonzero(starts)
 
 
-class _Table:
+class _Table(_Frozen):
     """Exact rationals keys[i] / denom, made Fractions only when read.
 
     keys are distinct int64 numerators in ascending order and denom is the
@@ -362,27 +373,14 @@ class _Table:
 
     def _set(self, denom: int, keys: np.ndarray, low: int, high: int, outside: str,
              **fields: object) -> None:
-        """Store the table after checking low < key < high for every key; the
-        fields a subclass adds go through __setstate__."""
+        """Store the table, and the fields a subclass adds, after checking
+        low < key < high for every key."""
         if len(keys) and not (low < keys[0] and keys[-1] < high):
             bad = keys[0] if keys[0] <= low else keys[-1]
             raise ValueError(outside.format(Fraction(int(bad), denom)))
         g = gcd(denom, int(np.gcd.reduce(keys)))
-        keys = keys // g if g > 1 else keys
-        keys.flags.writeable = False
-        object.__setattr__(self, "denom", denom // g)
-        object.__setattr__(self, "keys", keys)
-        self.__setstate__((None, fields))
-
-    def __setstate__(self, state: tuple[None, dict]) -> None:
-        """Store the fields, arrays read-only; pickle and copy restore a table so."""
-        for name, value in state[1].items():
-            if type(value) is np.ndarray:
-                value.flags.writeable = False
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"{type(self).__name__} is immutable")
+        self.__setstate__((None, {"denom": denom // g, "keys": keys // g if g > 1 else keys,
+                                  **fields}))
 
     def _admit_read(self) -> None:
         """Refuse to make the values Python objects, about 200 bytes each (a
@@ -402,23 +400,6 @@ class _Table:
         return [f"{p}/{q}" if q != 1 else str(p)
                 for p, q in zip((self.keys // g).tolist(), (self.denom // g).tolist())]
 
-    def __eq__(self, other: object) -> bool:
-        return type(other) is type(self) and all(
-            np.array_equal(getattr(self, name), getattr(other, name))
-            for cls in type(self).__mro__ for name in getattr(cls, "__slots__", ()))
-
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.to_json()})"
 
-
-def models_equal(a: WeightModel, b: WeightModel) -> bool:
-    """Equality of atom tables; implies equality of all derived queries."""
-    if a.dim != b.dim or a.cap != b.cap:
-        return False
-    denom = lcm(a.denom, b.denom)
-    a = rescaled(a, denom)
-    b = rescaled(b, denom)
-    return (a.exps.shape == b.exps.shape
-            and np.array_equal(a.exps, b.exps)
-            and np.array_equal(a.weight, b.weight)
-            and np.array_equal(a.drop, b.drop))

@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import dataclasses
 import hashlib
 import io
 import itertools
@@ -22,7 +23,7 @@ from hypothesis import strategies as st
 import tsmult
 from tsmult import cli, weights
 from tsmult.cli import main, parse
-from tsmult.errors import GermParseError
+from tsmult.errors import GermParseError, OracleMismatch
 from tsmult.filtration import jumpset_of, usual_jumpset
 from tsmult.germs import Germ, diagonal_microlocal_chain
 
@@ -651,6 +652,42 @@ def test_verify_json_report(capsys):
     # the schema requires elapsed_s on the suite and on each case; the
     # suite's time covers its cases' (each rounded to the microsecond)
     assert sum(c["elapsed_s"] for c in suite["cases"]) <= suite["elapsed_s"] + 84e-6
+
+
+def test_verify_reports_a_failing_case_and_exits_3(capsys, monkeypatch):
+    # one failing case per suite: its line names it with its detail, the
+    # summary counts it out, and the exit code is 3, in text and in JSON
+    def summation_path(m1, m2, alpha):
+        if (m1, m2, alpha) == (2, 3, F(1, 2)):
+            raise OracleMismatch("paths disagree")
+
+    checked = cli.consistency_check
+
+    def consistency_check(germ):
+        report = checked(germ)
+        return dataclasses.replace(report, symmetric=False) if germ.exponents == (2, 3) else report
+
+    monkeypatch.setattr(cli, "summation_path", summation_path)
+    monkeypatch.setattr(cli, "consistency_check", consistency_check)
+    for suite, case, total in (("summation", "summation (2,3) alpha 1/2", 180),
+                               ("spectral", "spectral [2, 3]", 84)):
+        code, out, _ = _run(capsys, ["verify", "--suite", suite])
+        lines = out.splitlines()
+        assert code == 3 and lines[-1] == f"{suite}: {total - 1}/{total} passed"
+        failed = [line for line in lines if line.startswith("FAIL ")]
+        assert len(failed) == 1 and failed[0].startswith(f"FAIL {case} (")
+        detail = failed[0][len(f"FAIL {case} ("):-1]
+        if suite == "summation":
+            assert detail == "paths disagree"
+        else:
+            assert json.loads(detail)["symmetric"] is False
+        code, out, _ = _run(capsys, ["verify", "--suite", suite, "--json"])
+        payload = json.loads(out)
+        _validate(payload, "verify_report")
+        assert code == 3 and payload["ok"] is False
+        entry = payload["suites"][0]
+        assert (entry["ok"], entry["passed"], entry["total"]) == (False, total - 1, total)
+        assert [c["detail"] for c in entry["cases"] if not c["ok"]] == [detail]
 
 
 def test_montecarlo_evidence_schema():

@@ -8,9 +8,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from tsmult.errors import DimensionMismatch
+from tsmult.filtration import JumpSet, jumpset_of, usual_jumpset
 from tsmult.germs import Germ, diagonal_microlocal_chain
 from tsmult.monomial import (MonomialIdeal, QuotientBasis, external_product, ideal_sum,
                              minimal_antichain)
+from tsmult.spectral import EigenTable, Spectrum, fold_spectrum, spectrum_of
 
 from bruteforce import bf_member, bf_minimal, bf_permuted
 
@@ -110,17 +112,38 @@ def test_json_round_trip():
         MonomialIdeal.from_json({"dim": 2, "gens": [[1.5, 0]]})
 
 
+def _fields(value):
+    return {name: getattr(value, name)
+            for cls in type(value).__mro__ for name in getattr(cls, "__slots__", ())}
+
+
 def test_quotient_basis_is_immutable_and_pickles_read_only():
+    # every exact value type stands on monomial._Frozen: its fields are set
+    # once, its arrays are read-only, and pickle and copy restore it so
     basis = QuotientBasis(np.array([[0, 1], [1, 0]], dtype=np.int64))
     ideal = MonomialIdeal(2, [(1, 0), (0, 1), (2, 2)])
     step = diagonal_microlocal_chain(Germ((2, 3)), window=F(2)).steps[0].ideal
-    for rows_set in (basis, ideal, step):
-        with pytest.raises(ValueError):
-            rows_set.rows[0, 0] = 5
-        with pytest.raises(AttributeError):
-            rows_set.rows = rows_set.rows
-        for restored in (pickle.loads(pickle.dumps(rows_set)), copy.deepcopy(rows_set)):
-            assert restored == rows_set and hash(restored) == hash(rows_set)
-            assert not restored.rows.flags.writeable
+    micro = jumpset_of(diagonal_microlocal_chain(Germ((2, 3)), window=F(1)))
+    usual = usual_jumpset(micro, F(3))
+    spectrum = spectrum_of(Germ((2, 3, 4)))
+    values = (basis, ideal, step, micro, usual, spectrum, fold_spectrum(spectrum))
+    assert {type(v) for v in values} == {QuotientBasis, MonomialIdeal, JumpSet, Spectrum,
+                                         EigenTable}
+    assert usual.periodic_tail and not micro.periodic_tail
+    for value in values:
+        fields = _fields(value)
+        arrays = [name for name, field in fields.items() if type(field) is np.ndarray]
+        assert arrays, value
+        for name in arrays:
+            with pytest.raises(ValueError):
+                getattr(value, name)[...] = 5
+        for name, field in fields.items():
+            with pytest.raises(AttributeError):
+                setattr(value, name, field)
+        for restored in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value)):
+            assert restored == value and type(restored) is type(value)
+            assert not any(getattr(restored, name).flags.writeable for name in arrays)
+            if type(value).__hash__ is not None:  # monomial sets hash; tables do not
+                assert hash(restored) == hash(value)
     assert basis != QuotientBasis(basis.rows[:1]) and basis.exponents == ((0, 1), (1, 0))
     assert ideal.gens == step.gens == ((0, 1), (1, 0)) and basis != ideal

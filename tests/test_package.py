@@ -145,3 +145,16 @@ def test_only_the_oracles_build_the_newton_weight():
             visitor.visit(ast.parse(path.read_text(), str(path)))
             found += visitor.found
     assert found == []
+
+
+def test_only_the_frozen_base_defines_setattr_and_setstate():
+    # the exact value types share monomial._Frozen for immutability and
+    # pickling; a second copy of either method would fail here
+    found = []
+    for path in sorted((SRC / "tsmult").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ClassDef):
+                found += [f"{path.stem}.{node.name}.{item.name}" for item in node.body
+                          if isinstance(item, ast.FunctionDef)
+                          and item.name in ("__setattr__", "__setstate__")]
+    assert found == ["monomial._Frozen.__setstate__", "monomial._Frozen.__setattr__"]

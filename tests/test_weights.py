@@ -12,13 +12,12 @@ from hypothesis import strategies as st
 
 from tsmult import weights
 from tsmult.errors import ResourceLimit, WindowExceeded
-from tsmult.filtration import JumpChain, jumpset_of, usual_jumpset
+from tsmult.filtration import JumpChain, jumpset_of
 from tsmult.germs import Germ, alpha_tilde, diagonal_microlocal_chain
-from tsmult.spectral import fold_spectrum, spectrum_of
 from tsmult.monomial import MonomialIdeal
 from tsmult.oracles import _canonical, box_model
 from tsmult.weights import (_one_var_scaled, convolve, diagonal_model, generators_at,
-                            graded_exponents, models_equal, rescaled)
+                            graded_exponents, rescaled)
 
 from bruteforce import (bf_diagonal_gens, bf_micro_weight, bf_permuted_atoms,
                         bf_usual_weight, bf_weight_levels)
@@ -103,7 +102,7 @@ def test_convolve_matches_box_model(case):
     ms1, ms2, cap, factor_cap, usual = case
     joined = convolve(diagonal_model(ms1, factor_cap, usual),
                       diagonal_model(ms2, factor_cap, usual), cap)
-    assert models_equal(joined, box_model(ms1 + ms2, cap, usual))
+    assert joined == box_model(ms1 + ms2, cap, usual)
 
 
 def test_diagonal_model_needs_exponents_from_two():
@@ -176,7 +175,7 @@ def test_convolve_equals_direct_pairs():
         b = diagonal_model((m2,), cap=F(4))
         joined = convolve(a, b)
         direct = box_model((m1, m2), cap=F(4))
-        assert models_equal(joined, direct), (m1, m2)
+        assert joined == direct, (m1, m2)
 
 
 def test_convolve_triple_associative():
@@ -184,8 +183,8 @@ def test_convolve_triple_associative():
     left = convolve(convolve(parts[0], parts[1]), parts[2])
     right = convolve(parts[0], convolve(parts[1], parts[2]))
     direct = box_model((2, 3, 4), cap=F(3))
-    assert models_equal(left, direct)
-    assert models_equal(right, direct)
+    assert left == direct
+    assert right == direct
 
 
 def test_convolve_output_is_lex_sorted():
@@ -274,7 +273,7 @@ def test_no_drop_is_never_shifted():
     assert model.weight[0] > 1 << 60 and model.drop[0] == weights.NO_DROP
     assert _gens(model, F(1, 10), False) == [(0,) * len(ms)]
     joined = convolve(diagonal_model(ms[:-1], cap=cap), diagonal_model(ms[-1:], cap=cap))
-    assert models_equal(joined, model)
+    assert joined == model
 
 
 def test_level_cuts_do_not_overflow():
@@ -303,18 +302,8 @@ def test_achieved_levels_match_bruteforce():
 
 
 def test_tables_survive_pickle_and_copy():
-    # a table's fields are stored past its __setattr__; a restored copy is
-    # equal and as read-only as the original
-    spectrum = spectrum_of(Germ((2, 3, 4)))
-    micro = jumpset_of(diagonal_microlocal_chain(Germ((2, 3)), window=F(1)))
-    for table in (usual_jumpset(micro, F(3)), spectrum, fold_spectrum(spectrum)):
-        for restored in (pickle.loads(pickle.dumps(table)), copy.deepcopy(table)):
-            assert restored == table and type(restored) is type(table)
-            assert not restored.keys.flags.writeable
-            with pytest.raises(AttributeError):
-                restored.denom = 1
-    # an ideal is rebuilt through its constructor, so a chain whose steps
-    # were read survives too
+    # a chain survives with its model and the steps it has read, and so do
+    # the unit and zero ideals; test_monomial checks every frozen value type
     chain = diagonal_microlocal_chain(Germ((2, 3)), window=F(2))
     steps = chain.steps
     for ideal in (MonomialIdeal.unit(2), MonomialIdeal.zero(3), steps[-1].ideal):
@@ -323,7 +312,7 @@ def test_tables_survive_pickle_and_copy():
             with pytest.raises(AttributeError):
                 restored.dim = 1
     for restored in (pickle.loads(pickle.dumps(chain)), copy.deepcopy(chain)):
-        assert restored.steps == steps and models_equal(restored.model, chain.model)
+        assert restored.steps == steps and restored.model == chain.model
 
 
 def test_graded_exponents_counts():
@@ -345,7 +334,11 @@ def test_permuted_model():
 def test_rescaled_preserves_values():
     model = diagonal_model((2, 3), cap=F(2))
     scaled = rescaled(model, model.denom * 5)
-    assert models_equal(model, scaled)
+    assert model == scaled and scaled == model
+    # models compare by their atom tables over one denominator, and the cap
+    assert model == diagonal_model((2, 3), cap=F(2))
+    assert model != diagonal_model((2, 3), cap=F(3))
+    assert model != diagonal_model((3, 2), cap=F(2))
     assert generators_at(scaled, F(5, 6), strict=True).gens == ((0, 1), (1, 0))
 
 
