@@ -63,8 +63,14 @@ class _Frozen:
 
     def __eq__(self, other: object) -> bool:
         return type(other) is type(self) and all(
-            np.array_equal(getattr(self, name), getattr(other, name))
+            _equal(getattr(self, name), getattr(other, name))
             for cls in type(self).__mro__ for name in getattr(cls, "__slots__", ()))
+
+
+def _equal(a: object, b: object) -> bool:
+    """Fields equal: np.array_equal for arrays only, since on a scalar it
+    wraps each side in a 0-d array, as slow as comparing a table."""
+    return np.array_equal(a, b) if type(a) is np.ndarray else a == b
 
 
 class _Rows(_Frozen):

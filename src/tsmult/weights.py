@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
-from math import gcd, lcm
+from math import factorial, gcd, lcm, prod
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -117,6 +117,27 @@ def _one_var_scaled(m: int, cap: Fraction, denom: int, usual: bool, held: int = 
     return nums
 
 
+def _atoms_at_least(ms: tuple[int, ...], cap: Fraction) -> int:
+    """L = ⌊(cap − α̃)^d · μ / d!⌋, a lower bound on the atom count of
+    diagonal_model(ms, cap) for either weight, where α̃ = Σ 1/m_j and
+    μ = ∏ (m_j − 1); 0 when cap <= α̃.
+
+    Proof: both one-variable weights satisfy w(m, k) <= (k + 1 − 1/m) /
+    (m − 1): (k + 1) / m is at most that for k >= 0, and the microlocal
+    (k + 1 + ⌊k / (m − 1)⌋) / m is at most (k + 1 + k / (m − 1)) / m,
+    which equals it.  That bound increases with k, so the integer part ⌊x⌋
+    of every point x >= 0 of the open region R = {Σ_j (x_j + 1 − 1/m_j) /
+    (m_j − 1) < cap} has weight below cap and is an atom.  The unit cubes
+    g + [0, 1)^d of the atoms g therefore cover R, so the atom count is at
+    least vol(R); with y_j = x_j / (m_j − 1), R is the simplex {y >= 0 :
+    Σ y_j < cap − α̃} stretched by μ, of volume (cap − α̃)^d · μ / d!.
+    In integers over D = lcm(ms), with cap = p / q, cap − α̃ = room / (q·D).
+    """
+    denom, d = lcm(*ms), len(ms)
+    room = max(cap.numerator * denom - cap.denominator * sum(denom // m for m in ms), 0)
+    return room ** d * prod(m - 1 for m in ms) // ((cap.denominator * denom) ** d * factorial(d))
+
+
 def _prefixes(counts: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     """The n pairs (i, k) with k < counts[i], in order of i and then k."""
     return (np.repeat(np.arange(len(counts)), counts),
@@ -133,7 +154,11 @@ def diagonal_model(ms: Sequence[int], cap: Fraction, usual: bool = False) -> Wei
     extends by zeros to a distinct final atom, so no intermediate model is
     larger than the result.  A model whose cut, cap * lcm(m), or whose
     zero exponent's weight does not fit in int64 is refused with
-    ResourceLimit: every other weight and drop is below the cut.
+    ResourceLimit: every other weight and drop is below the cut.  So,
+    before any table is made, is a model of two or more variables whose
+    atom lower bound (_atoms_at_least) its final pairing, which charges
+    at least 8 · (dim + 4) bytes an atom, would refuse; one variable is
+    one table, charged per entry, with no pairing.
     """
     ms = tuple(int(m) for m in ms)
     if not ms or any(m < 2 for m in ms):
@@ -142,6 +167,9 @@ def diagonal_model(ms: Sequence[int], cap: Fraction, usual: bool = False) -> Wei
     _admit_int64(max(_cut(cap, denom), sum(denom // m for m in ms)),
                  "weight model of {} below {}", ms, cap)
     what = f"weight model of {ms} below {cap}"
+    if len(ms) > 1:
+        least = _atoms_at_least(ms, cap)
+        _admit(8 * (len(ms) + 4) * least, f"{what} has at least {least} atoms")
     # bytes held beside the step admitted next: the tables not yet folded,
     # 8 an entry, and the model folded so far, 8 · (dim + 2) an atom
     tables, held = [], 0

@@ -147,3 +147,20 @@ def test_quotient_basis_is_immutable_and_pickles_read_only():
                 assert hash(restored) == hash(value)
     assert basis != QuotientBasis(basis.rows[:1]) and basis.exponents == ((0, 1), (1, 0))
     assert ideal.gens == step.gens == ((0, 1), (1, 0)) and basis != ideal
+
+
+def test_values_differing_in_a_scalar_field_are_unequal():
+    # _Frozen compares scalar fields with ==, arrays with np.array_equal;
+    # a pair here differs in one scalar field and holds equal arrays
+    keys = np.array([1, 3], dtype=np.int64)
+    plain, tail = JumpSet(4, keys, F(1)), JumpSet(4, keys, F(1), periodic_tail=True)
+    wider = JumpSet(4, keys, F(2))
+    table = (4, keys, np.array([2, 5], dtype=np.int64))
+    curve, surface = Spectrum(2, _table=table), Spectrum(3, _table=table)
+    for a, b in ((plain, tail), (plain, wider), (curve, surface)):
+        assert np.array_equal(a.keys, b.keys) and a.denom == b.denom
+        assert a != b and b != a
+        for value in (a, b):
+            restored = pickle.loads(pickle.dumps(value))
+            assert restored == value and restored != (b if value is a else a)
+    assert JumpSet(4, keys, F(1)) == plain and Spectrum(2, _table=table) == curve

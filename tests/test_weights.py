@@ -1,6 +1,7 @@
 import copy
 import itertools
 import pickle
+import re
 import tracemalloc
 from fractions import Fraction as F
 from math import lcm
@@ -228,6 +229,39 @@ def test_table_byte_limit_refuses_before_building(monkeypatch):
         convolve(quintic, pair)
     with pytest.raises(ResourceLimit, match=r"weight table of z\^1000 "):
         diagonal_model((1000,), cap=F(4))
+
+
+@st.composite
+def _bound_cases(draw):
+    d = draw(st.integers(2, 4))
+    ms = tuple(draw(st.lists(st.integers(2, 9), min_size=d, max_size=d)))
+    # caps in sixths up to 3, up to 2 for four variables to keep the box small
+    cap = F(draw(st.integers(1, 18 if d < 4 else 12)), 6)
+    return ms, cap, draw(st.booleans())
+
+
+@settings(max_examples=150, deadline=None)
+@given(_bound_cases())
+def test_atom_lower_bound_is_below_box_count(case):
+    # the bound diagonal_model refuses on never exceeds the atom count of
+    # the independent box enumeration, for either weight
+    ms, cap, usual = case
+    assert weights._atoms_at_least(ms, cap) <= len(box_model(ms, cap, usual).weight)
+
+
+@pytest.mark.parametrize("ms", [(205, 207, 209), (24000, 24000), (1800, 1800, 9000000),
+                                (17000000, 17000000)])
+def test_oversized_model_refused_before_any_table(ms):
+    # the atom lower bound refuses these before the first one-variable
+    # table is made, so the refusal holds almost nothing
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimit, match=re.escape(f"{ms} below 3 has at least ")):
+            diagonal_model(ms, F(3))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 << 10, peak
 
 
 @pytest.mark.parametrize("ms, right", [
