@@ -29,7 +29,7 @@ from .filtration import JumpSet, graded_at, periodic_extend, usual_jumpset
 from .germs import (DEFAULT_WINDOW, Germ, diagonal_microlocal_chain,
                     diagonal_usual_chain, lct, one_var_microlocal_chain)
 from .monomial import QuotientBasis
-from .oracles import (MonteCarloConfig, mc_case_set, monte_carlo_integrable,
+from .oracles import (MonteCarloConfig, box_model, mc_case_set, monte_carlo_integrable,
                       summation_path)
 from .spectral import EigenTable, Spectrum, _eigentable_of, consistency_check, spectrum_of
 
@@ -180,58 +180,56 @@ def _since(start: float) -> float:
     return round(time.perf_counter() - start, 6)
 
 
+def _case(name: str, check: Callable[[], str | None]) -> dict:
+    """One timed case of a suite: check returns None on a pass, else the detail."""
+    start = time.perf_counter()
+    detail = check()
+    record = {"case": name, "ok": detail is None, "elapsed_s": _since(start)}
+    if detail is not None:
+        record["detail"] = detail
+    return record
+
+
+def _summation_mismatch(m1: int, m2: int, alpha: Fraction) -> str | None:
+    try:
+        summation_path(m1, m2, alpha)
+    except OracleMismatch as exc:
+        return str(exc)
+    return None
+
+
 def _suite_summation() -> list[dict]:
-    cases = []
-    for m1 in range(2, 6):
-        for m2 in range(2, 6):
-            den = m1 * m2
-            for j in range(1, den):
-                alpha = Fraction(j, den)
-                record = {"case": f"summation ({m1},{m2}) alpha {alpha}", "ok": True}
-                start = time.perf_counter()
-                try:
-                    summation_path(m1, m2, alpha)
-                except OracleMismatch as exc:
-                    record["ok"] = False
-                    record["detail"] = str(exc)
-                record["elapsed_s"] = _since(start)
-                cases.append(record)
-    return cases
+    return [_case(f"summation ({m1},{m2}) alpha {alpha}",
+                  lambda: _summation_mismatch(m1, m2, alpha))
+            for m1 in range(2, 6) for m2 in range(2, 6)
+            for alpha in (Fraction(j, m1 * m2) for j in range(1, m1 * m2))]
+
+
+def _convolution_mismatch(m1: int, m2: int) -> str | None:
+    """The convolved chain's model against the box enumeration, its independent route."""
+    model = ts_convolve_chains(one_var_microlocal_chain(m1), one_var_microlocal_chain(m2)).model
+    if model != box_model((m1, m2), model.cap):
+        return "convolved chain differs from the box enumeration"
+    return None
 
 
 def _suite_convolution() -> list[dict]:
-    cases = []
-    for m1 in range(2, 7):
-        for m2 in range(2, 7):
-            start = time.perf_counter()
-            direct = diagonal_microlocal_chain(Germ((m1, m2)))
-            convolved = ts_convolve_chains(one_var_microlocal_chain(m1),
-                                           one_var_microlocal_chain(m2))
-            ok = convolved == direct
-            record = {"case": f"convolution ({m1},{m2})", "ok": ok, "elapsed_s": _since(start)}
-            if not ok:
-                record["detail"] = "convolved chain differs from direct chain"
-            cases.append(record)
-    return cases
+    return [_case(f"convolution ({m1},{m2})", lambda: _convolution_mismatch(m1, m2))
+            for m1 in range(2, 7) for m2 in range(2, 7)]
+
+
+def _spectral_mismatch(ms: tuple[int, ...]) -> str | None:
+    report = consistency_check(Germ(ms))
+    return None if report.ok else json.dumps(report.to_json())
 
 
 def _suite_spectral() -> list[dict]:
-    cases = []
     germs: list[tuple[int, ...]] = []
     for m1 in range(2, 6):
         germs.append((m1,))
         for m2 in range(2, 6):
-            germs.append((m1, m2))
-            for m3 in range(2, 6):
-                germs.append((m1, m2, m3))
-    for ms in germs:
-        start = time.perf_counter()
-        report = consistency_check(Germ(ms))
-        record = {"case": f"spectral {list(ms)}", "ok": report.ok, "elapsed_s": _since(start)}
-        if not report.ok:
-            record["detail"] = json.dumps(report.to_json())
-        cases.append(record)
-    return cases
+            germs += [(m1, m2)] + [(m1, m2, m3) for m3 in range(2, 6)]
+    return [_case(f"spectral {list(ms)}", lambda: _spectral_mismatch(ms)) for ms in germs]
 
 
 def _suite_montecarlo(seed: int, count: int = 40) -> tuple[list[dict], bool, dict]:

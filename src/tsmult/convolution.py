@@ -44,14 +44,9 @@ def ts_multiplier(c1: JumpChain, c2: JumpChain, alpha: Fraction) -> MonomialIdea
     right-continuous value of the convolved chain is the answer.  Only the
     factor models are read, so either view of a factor will do.
 
-    The convolution stops at cap = v + 1, where v is the first multiple
-    of 1/D past alpha and D the convolved denominator.  That is enough:
-    a minimal generator g of {w > alpha} other than 1 has a decrement
-    g - e_j of weight at most alpha, and one step in a variable adds at
-    most 1 (a one-variable increment is 1/m or 2/m with m >= 2), so
-    w(g) <= alpha + 1 < cap and g is an atom of the model; 1 is always
-    one.  It is also the least cap that generators_at accepts for the
-    threshold v.
+    The convolution stops at the least cap that generators_at accepts
+    for alpha over the convolved denominator, weights._least_cap, which
+    is also enough for every generator.
     """
     alpha = Fraction(alpha)
     if not 0 < alpha < 1:
@@ -60,8 +55,7 @@ def ts_multiplier(c1: JumpChain, c2: JumpChain, alpha: Fraction) -> MonomialIdea
     if min(c1.window, c2.window) < 1:
         raise WindowExceeded("factor chains must cover the window [0, 1)")
     denom = lcm(c1.model.denom, c2.model.denom)
-    past = weights._cut(alpha, denom, strict=True)  # v = past / D
-    model = weights.convolve(c1.model, c2.model, cap=Fraction(past + denom, denom))
+    model = weights.convolve(c1.model, c2.model, cap=weights._least_cap(alpha, denom, strict=True))
     return weights.generators_at(model, alpha, strict=True)
 
 
@@ -86,7 +80,8 @@ def ts_jumpset(s1: JumpSet, s2: JumpSet, window: Fraction | None = None) -> Jump
     a, b = (s.keys * (denom // s.denom) for s in (s1, s2))
     counts = np.searchsorted(b, weights._cut(window, denom) - a)
     n = int(counts.sum())
-    weights._admit(40 * n, f"jump sums of {len(a)} x {len(b)} levels below {window}: {n} pairs")
+    weights._admit(40 * n, "jump sums of {} x {} levels below {}: {} pairs",
+                   len(a), len(b), window, n)
     ia, ib = weights._prefixes(counts, n)
     sums = np.sort(a[ia] + b[ib])
     return JumpSet(denom, sums[weights._runs(sums)], window)

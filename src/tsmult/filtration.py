@@ -97,9 +97,8 @@ class JumpChain:
         window = Fraction(window)
         if window <= 0:
             raise ValueError("window must be positive")
-        cut = weights._cut(window, model.denom)
-        if weights._near_cap(model, cut):
-            need = Fraction(cut + model.denom, model.denom)
+        need = weights._least_cap(window, model.denom, strict=False)
+        if need > model.cap:
             raise WindowExceeded(f"window {window} needs a model cap of at least {need}, "
                                  f"not {model.cap}")
         self.model = model
@@ -213,7 +212,7 @@ def usual_jumpset(microlocal: JumpSet, window: Fraction) -> JumpSet:
     weights._admit_int64(cut + denom, "jump set below {} over denominator {}", window, denom)
     n = last * len(base) + int(np.searchsorted(base, cut - last * denom))
     # about 200 bytes a value once printed (188 measured)
-    weights._admit(200 * n, f"jump set below {window}: {n} values")
+    weights._admit(200 * n, "jump set below {}: {} values", window, n)
     shifts = np.arange(last + 1, dtype=np.int64)[:, None] * denom
     return JumpSet(denom, (base + shifts).ravel()[:n], window, periodic_tail=True)
 

@@ -50,18 +50,19 @@ def _merge(keys: np.ndarray, counts: np.ndarray, modulus: int = 0
 
 
 def _pair_sum(keys_a: np.ndarray, counts_a: np.ndarray, keys_b: np.ndarray,
-              counts_b: np.ndarray, what: str, modulus: int = 0
+              counts_b: np.ndarray, what: str, *args, modulus: int = 0
               ) -> tuple[np.ndarray, np.ndarray]:
     """Sparse additive convolution of two (key, count) tables.
 
     Each pair's key is the sum of its two keys (reduced mod modulus when
     given) and its count the product of its two counts; pairs with equal
-    keys merge.  The pair arrays go to _merge with no other reference, so
-    the measured peak when no sums coincide, 32 bytes a pair and about
-    2 kB more, is admitted at 33 bytes a pair before anything is allocated.
+    keys merge; what.format(*args) names the sum on refusal.  The pair
+    arrays go to _merge with no other reference, so the measured peak when
+    no sums coincide, 32 bytes a pair and about 2 kB more, is admitted at
+    33 bytes a pair before anything is allocated.
     """
     n = len(keys_a) * len(keys_b)
-    _admit(33 * n, f"{what}: {len(keys_a)} x {len(keys_b)} = {n} term pairs")
+    _admit(33 * n, what + ": {} x {} = {} term pairs", *args, len(keys_a), len(keys_b), n)
     return _merge(np.add.outer(keys_a, keys_b).ravel(),
                   np.multiply.outer(counts_a, counts_b).ravel(), modulus)
 
@@ -134,7 +135,7 @@ def one_var_eigentable(m: int) -> EigenTable:
     """Nontrivial m-th roots of unity, one dimension each."""
     if m < 2:
         raise ValueError("need an exponent >= 2")
-    _admit(16 * (m - 1), f"eigentable of z^{m}: {m - 1} terms")
+    _admit(16 * (m - 1), "eigentable of z^{}: {} terms", m, m - 1)
     return EigenTable(_table=(m, np.arange(1 - m, 0, dtype=np.int64),
                               np.ones(m - 1, dtype=np.int64)))
 
@@ -148,10 +149,11 @@ def phi_convolve(t1: EigenTable, t2: EigenTable) -> EigenTable:
     fold is the sum of those integers mod L.
     """
     denom = lcm(t1.denom, t2.denom)
-    what = f"eigentable convolution over denominator {denom}"
-    _admit_int64(max(2 * denom, t1.total * t2.total), what)
+    what = "eigentable convolution over denominator {}"
+    _admit_int64(max(2 * denom, t1.total * t2.total), what, denom)
     keys, counts = _pair_sum(t1.keys * -(denom // t1.denom), t1.counts,
-                             t2.keys * -(denom // t2.denom), t2.counts, what, modulus=denom)
+                             t2.keys * -(denom // t2.denom), t2.counts, what, denom,
+                             modulus=denom)
     # ascending keys -k/denom are the integers k in descending order
     return EigenTable(_table=(denom, -keys[::-1], counts[::-1]))
 
@@ -173,14 +175,14 @@ def spectrum_of(germ: Germ) -> Spectrum:
     """
     ms = germ.exponents
     denom = lcm(*ms)
-    what = f"spectrum of {ms}"
-    _admit_int64(max(germ.dim * denom, milnor_number(germ)), what)
+    what = "spectrum of {}"
+    _admit_int64(max(germ.dim * denom, milnor_number(germ)), what, ms)
     keys = counts = None
     for m in ms:
-        _admit(16 * (m - 1), f"{what}: one-variable table of {m - 1} terms")
+        _admit(16 * (m - 1), what + ": one-variable table of {} terms", ms, m - 1)
         k = np.arange(1, m, dtype=np.int64) * (denom // m)
         c = np.ones(m - 1, dtype=np.int64)
-        keys, counts = (k, c) if keys is None else _pair_sum(keys, counts, k, c, what)
+        keys, counts = (k, c) if keys is None else _pair_sum(keys, counts, k, c, what, ms)
     return Spectrum(germ.dim, _table=(denom, keys, counts))
 
 
@@ -188,10 +190,10 @@ def spectrum_convolve(s1: Spectrum, s2: Spectrum) -> Spectrum:
     """Additive convolution without folding; dimensions add."""
     denom = lcm(s1.denom, s2.denom)
     dim = s1.dim + s2.dim
-    what = f"spectrum convolution over denominator {denom}"
-    _admit_int64(max(dim * denom, s1.total * s2.total), what)
+    what = "spectrum convolution over denominator {}"
+    _admit_int64(max(dim * denom, s1.total * s2.total), what, denom)
     keys, counts = _pair_sum(s1.keys * (denom // s1.denom), s1.counts,
-                             s2.keys * (denom // s2.denom), s2.counts, what)
+                             s2.keys * (denom // s2.denom), s2.counts, what, denom)
     return Spectrum(dim, _table=(denom, keys, counts))
 
 

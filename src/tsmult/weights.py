@@ -66,16 +66,15 @@ class WeightModel:
         return all(map(np.array_equal, (a.exps, a.weight, a.drop), (b.exps, b.weight, b.drop)))
 
 
-def _admit(nbytes: int, what: str) -> None:
-    """Refuse a table of nbytes before it is allocated."""
+def _admit(nbytes: int, what: str, *args) -> None:
+    """Refuse a table of nbytes before it is allocated, named by what.format(*args)."""
     if nbytes > MAX_TABLE_BYTES:
-        raise ResourceLimit(f"{what}: {nbytes} bytes (~{nbytes / (1 << 30):.1f} GiB) "
-                            f"is above the {MAX_TABLE_BYTES}-byte table limit")
+        raise ResourceLimit(f"{what.format(*args)}: {nbytes} bytes (~{nbytes / (1 << 30):.1f} "
+                            f"GiB) is above the {MAX_TABLE_BYTES}-byte table limit")
 
 
 def _admit_int64(top: int, what: str, *args) -> None:
-    """Refuse a table whose int64 values would reach top; what.format(*args)
-    names it, formatted only on refusal."""
+    """Refuse a table whose int64 values would reach top, named as by _admit."""
     if top >= 1 << 63:
         raise ResourceLimit(f"{what.format(*args)}: values up to {top} "
                             "overflow 64-bit integers")
@@ -89,26 +88,36 @@ def _cut(cap: Fraction, denom: int, strict: bool = False) -> int:
     return -((-cap.numerator * denom) // cap.denominator)
 
 
+def _least_cap(alpha: Fraction, denom: int, strict: bool) -> Fraction:
+    """Least model cap at which generators_at answers alpha over denom:
+    v + 1, v the least level over denom that {w >= alpha} (or {w > alpha})
+    keeps.  A minimal generator but 1 has a decrement lighter than v, and
+    a step adds at most 1 (1/m or 2/m, m >= 2), so it is an atom there."""
+    return Fraction(_cut(alpha, denom, strict) + denom, denom)
+
+
 def _top(model: WeightModel) -> int:
     """Bound on the model's weight numerators, read without a pass over them:
     every atom but the zero exponent, row 0, weighs less than the cap."""
     return max(int(model.weight[0]), _cut(model.cap, model.denom) - 1)
 
 
-def _one_var_scaled(m: int, cap: Fraction, denom: int, usual: bool, held: int = 0) -> np.ndarray:
-    """Weight numerators over denom for z^k, k = 0.. while weight < cap.
+def _one_var_scaled(m: int, cap: Fraction, denom: int, usual: bool, held: int = 0,
+                    others: int = 0) -> np.ndarray:
+    """Weight numerators over denom for z^k, k = 0.. while weight plus
+    others / denom, the other variables' z^0 weight, is < cap.
 
     The numerators over m, k + 1 (usual) or k + 1 + k // (m - 1)
-    (microlocal), increase strictly, so those below the cut B = cap * m
-    are a prefix: 1 .. B - 1 (usual), or the positive integers below B
-    not divisible by m (microlocal).  Their count is known before the
-    table is made, which is built in place: at most two int64 arrays of
-    that length are alive, 16 bytes an entry, admitted plus held, the bytes
-    the caller holds.  z^0 is kept even when its own weight reaches the cap.
+    (microlocal), increase strictly, so those below the cut B over m are
+    a prefix: 1 .. B - 1 (usual), or the positive integers below B not
+    divisible by m (microlocal).  Their count is known before the table
+    is made, which is built in place: at most two int64 arrays of that
+    length are alive, 16 bytes an entry, admitted plus held, the bytes the
+    caller holds.  z^0 is kept even when its own weight reaches the cut.
     """
-    bound = _cut(cap, m) - 1
+    bound = -((others - _cut(cap, denom)) // (denom // m)) - 1
     n = max(bound if usual else bound - bound // m, 1)
-    _admit(16 * n + held, f"weight table of z^{m} below {cap} has {n} entries")
+    _admit(16 * n + held, "weight table of z^{} below {} has {} entries", m, cap, n)
     nums = np.arange(n, dtype=np.int64)
     if not usual:
         nums += nums // (m - 1)
@@ -148,50 +157,47 @@ def diagonal_model(ms: Sequence[int], cap: Fraction, usual: bool = False) -> Wei
     """Model of the weight g ↦ Σ_j w(m_j, g_j) on the exponents where it is < cap.
 
     z1^m1 + ... + zd^md is an iterated Thom–Sebastiani sum, so its model
-    is the convolution of the one-variable models, folded left.  Pairing
-    with variable j keeps the prefixes whose weight plus rest, the z^0
-    weight of the later variables, is below the cap: each kept prefix
-    extends by zeros to a distinct final atom, so no intermediate model is
-    larger than the result.  A model whose cut, cap * lcm(m), or whose
-    zero exponent's weight does not fit in int64 is refused with
-    ResourceLimit: every other weight and drop is below the cut.  So,
-    before any table is made, is a model of two or more variables whose
-    atom lower bound (_atoms_at_least) its final pairing, which charges
-    at least 8 · (dim + 4) bytes an atom, would refuse; one variable is
-    one table, charged per entry, with no pairing.
+    is the convolution of the one-variable models, folded left, each
+    table made as its variable is folded in.  Pairing with variable j
+    keeps the prefixes whose weight plus rest, the z^0 weight of the later
+    variables, is below the cap: each kept prefix extends by zeros to a
+    distinct final atom, so no intermediate model is larger than the
+    result.  A prefix weighs at least the earlier variables' z^0 weight,
+    so variable j's table stops below the cap less the others' z^0
+    weight.  A model whose cut, cap * lcm(m), or whose zero exponent's
+    weight does not fit in int64 is refused with ResourceLimit: every
+    other weight and drop is below the cut.  So, before any table is
+    made, is a model of two or more variables whose atom lower bound
+    (_atoms_at_least) its final pairing, which charges at least
+    8 · (dim + 4) bytes an atom, would refuse; one variable is one table,
+    charged per entry, with no pairing.
     """
     ms = tuple(int(m) for m in ms)
     if not ms or any(m < 2 for m in ms):
         raise ValueError("diagonal model needs one or more exponents, all >= 2")
     denom = lcm(*ms)
-    _admit_int64(max(_cut(cap, denom), sum(denom // m for m in ms)),
-                 "weight model of {} below {}", ms, cap)
-    what = f"weight model of {ms} below {cap}"
+    zero = sum(denom // m for m in ms)  # the z^0 weight, over denom
+    what = "weight model of {} below {}"
+    _admit_int64(max(_cut(cap, denom), zero), what, ms, cap)
     if len(ms) > 1:
         least = _atoms_at_least(ms, cap)
-        _admit(8 * (len(ms) + 4) * least, f"{what} has at least {least} atoms")
-    # bytes held beside the step admitted next: the tables not yet folded,
-    # 8 an entry, and the model folded so far, 8 · (dim + 2) an atom
-    tables, held = [], 0
+        _admit(8 * (len(ms) + 4) * least, what + " has at least {} atoms", ms, cap, least)
+    # bytes held beside a table: the model folded so far, 8 · (dim + 2) an atom
+    model, rest, held = None, zero, 0
     for m in ms:
-        tables.append(_one_var_scaled(m, cap, denom, usual, held))
-        held += 8 * len(tables[-1])
-    rest = sum(int(t[0]) for t in tables)
-    model = None
-    while tables:
-        n = len(tables[0])
-        held -= 8 * n
-        _admit(24 * n + held, f"{what} has {n} atoms")
+        rest -= denom // m
+        table = _one_var_scaled(m, cap, denom, usual, held, zero - denom // m)
+        n = len(table)
+        _admit(24 * n + held, what + " has {} atoms", ms, cap, n)
         # weight and drop read one buffer at two offsets: z^k drops to the
         # weight of z^(k-1), z^0 to NO_DROP.  The table is freed once copied
-        both = np.concatenate(([NO_DROP], tables.pop(0)))
-        rest -= int(both[1])
+        both = np.concatenate(([NO_DROP], table))
+        del table
         f = WeightModel(1, denom, cap, np.arange(n, dtype=np.int64)[:, None], both[1:], both[:-1])
         if model is not None:
-            held -= 8 * (model.dim + 2) * len(model.weight)
-            f = _pair(model, f, cap - Fraction(rest, denom), what, held)
+            f = _pair(model, f, cap - Fraction(rest, denom), what, ms, cap)
         model = f
-        held += 8 * (model.dim + 2) * len(model.weight)
+        held = 8 * (model.dim + 2) * len(model.weight)
     return model
 
 
@@ -214,14 +220,14 @@ def convolve(a: WeightModel, b: WeightModel, cap: Fraction | None = None) -> Wei
     denom = lcm(a.denom, b.denom)
     a = rescaled(a, denom)
     b = rescaled(b, denom)
-    return _pair(a, b, cap_out, f"convolution of {len(a.weight)} x {len(b.weight)} "
-                                f"atoms below {cap_out}")
+    return _pair(a, b, cap_out, "convolution of {} x {} atoms below {}",
+                 len(a.weight), len(b.weight), cap_out)
 
 
-def _pair(a: WeightModel, b: WeightModel, cap: Fraction, what: str,
-          held: int = 0) -> WeightModel:
+def _pair(a: WeightModel, b: WeightModel, cap: Fraction, what: str, *args) -> WeightModel:
     """The pairs of atoms of a and b, two models over one denominator, that
-    are lighter than cap, as a lex-sorted model; what names it on refusal.
+    are lighter than cap, as a lex-sorted model; what.format(*args) names
+    it on refusal.
 
     Pair weights add; a pair's drop is the best single decrement taken in
     either factor.  Row i of a pairs with the atoms of b lighter than
@@ -234,22 +240,22 @@ def _pair(a: WeightModel, b: WeightModel, cap: Fraction, what: str,
     b is the lightest.  Each array is released once the next is made from
     it, so beside the exponents at most three pair-sized int64 arrays and
     a mask are alive: 8 · (dim + 3) + 1 bytes a pair, admitted at
-    8 · (dim + 4) for each pair and each row read, since a fold holds a,
-    plus held, the bytes the caller holds beside a and b.  The rows' share
-    is admitted first: it covers the counts, made before the pairs are.
+    8 · (dim + 4) for each pair and each row read, since a fold holds a.
+    The rows' share is admitted first: it covers the counts, made before
+    the pairs are.
     """
     denom = a.denom
     na, nb = len(a.weight), len(b.weight)
     _admit_int64(_top(a) + _top(b), "pair weights of {} x {} atoms", na, nb)
     dim = a.dim + b.dim
-    held += 8 * (dim + 4) * (na + nb)
-    _admit(held, f"{what} pairs {na} x {nb} atoms")
+    reads = 8 * (dim + 4) * (na + nb)
+    _admit(reads, what + " pairs {} x {} atoms", *args, na, nb)
     by_weight = None if b.dim == 1 else np.argsort(b.weight)
     sorted_b = b.weight if by_weight is None else b.weight[by_weight]
     counts = np.searchsorted(sorted_b, _cut(cap, denom) - a.weight)
     counts[0] = max(counts[0], 1)  # the zero exponent, first in lex order
     n = int(counts.sum())
-    _admit(8 * (dim + 4) * n + held, f"{what} has {n} atoms")
+    _admit(8 * (dim + 4) * n + reads, what + " has {} atoms", *args, n)
     ia, ib = _prefixes(counts, n)
     if by_weight is not None:
         ib = ia * nb + by_weight[ib]
@@ -279,17 +285,11 @@ def _pair(a: WeightModel, b: WeightModel, cap: Fraction, what: str,
     return WeightModel(dim, denom, cap, exps, weight, drop)
 
 
-def _near_cap(model: WeightModel, t: int) -> bool:
-    """Whether the scaled threshold t is within 1 of the cap, where generators
-    may be missing: (t + denom) / denom > cap."""
-    cap = model.cap
-    return t + model.denom > cap.numerator * model.denom // cap.denominator
-
-
 def generators_at(model: WeightModel, alpha: Fraction, strict: bool) -> MonomialIdeal:
     """Minimal generators of {w >= alpha} (or {w > alpha} when strict)."""
     t = _cut(alpha, model.denom, strict)
-    if _near_cap(model, t):
+    # cap < _least_cap(alpha, denom, strict), compared in integers
+    if t + model.denom >= _cut(model.cap, model.denom, strict=True):
         raise WindowExceeded(f"threshold {alpha} is too close to the model cap {model.cap}")
     rows = model.exps[(model.weight >= t) & (model.drop < t)]
     rows.flags.writeable = False
@@ -414,7 +414,8 @@ class _Table(_Frozen):
         """Refuse to make the values Python objects, about 200 bytes each (a
         Fraction or string, its ints and a tuple), where the int64s take 16."""
         n = len(self.keys)
-        _admit(200 * n, f"{type(self).__name__.lower()} of {n} distinct values as Python objects")
+        _admit(200 * n, "{} of {} distinct values as Python objects",
+               type(self).__name__.lower(), n)
 
     def _fractions(self) -> Iterator[Fraction]:
         self._admit_read()

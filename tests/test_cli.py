@@ -666,9 +666,22 @@ def test_verify_reports_a_failing_case_and_exits_3(capsys, monkeypatch):
         report = checked(germ)
         return dataclasses.replace(report, symmetric=False) if germ.exponents == (2, 3) else report
 
+    paired = weights._pair
+
+    def pair(a, b, *args):
+        # drop the last atom of x^2 (+) y^3, in the production fold and in
+        # the convolution alike, so only an independent oracle sees it
+        model = paired(a, b, *args)
+        if (a.dim, b.dim, a.denom // int(a.weight[0]), b.denom // int(b.weight[0])) == (1, 1, 2, 3):
+            model = weights.WeightModel(model.dim, model.denom, model.cap, model.exps[:-1],
+                                        model.weight[:-1], model.drop[:-1])
+        return model
+
     monkeypatch.setattr(cli, "summation_path", summation_path)
     monkeypatch.setattr(cli, "consistency_check", consistency_check)
+    monkeypatch.setattr(weights, "_pair", pair)
     for suite, case, total in (("summation", "summation (2,3) alpha 1/2", 180),
+                               ("convolution", "convolution (2,3)", 25),
                                ("spectral", "spectral [2, 3]", 84)):
         code, out, _ = _run(capsys, ["verify", "--suite", suite])
         lines = out.splitlines()
@@ -678,6 +691,8 @@ def test_verify_reports_a_failing_case_and_exits_3(capsys, monkeypatch):
         detail = failed[0][len(f"FAIL {case} ("):-1]
         if suite == "summation":
             assert detail == "paths disagree"
+        elif suite == "convolution":
+            assert detail == "convolved chain differs from the box enumeration"
         else:
             assert json.loads(detail)["symmetric"] is False
         code, out, _ = _run(capsys, ["verify", "--suite", suite, "--json"])

@@ -281,14 +281,15 @@ def test_pair_sum_peak_within_admitted_bytes(monkeypatch, modulus):
     # given in descending order so the sort moves every pair, peaks within
     # the bytes it admitted
     admitted = []
-    monkeypatch.setattr(spectral, "_admit", lambda nbytes, what: admitted.append(nbytes))
+    monkeypatch.setattr(spectral, "_admit", lambda nbytes, *what: admitted.append(nbytes))
     keys_a = np.arange(1000, dtype=np.int64)[::-1] * 1200
     keys_b = np.arange(1200, dtype=np.int64)[::-1]
     counts_a, counts_b = np.ones(1000, dtype=np.int64), np.full(1200, 2, dtype=np.int64)
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        keys, counts = spectral._pair_sum(keys_a, counts_a, keys_b, counts_b, "probe", modulus)
+        keys, counts = spectral._pair_sum(keys_a, counts_a, keys_b, counts_b, "probe",
+                                          modulus=modulus)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()

@@ -1,6 +1,7 @@
 import copy
 import itertools
 import pickle
+import random
 import re
 import tracemalloc
 from fractions import Fraction as F
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 from tsmult import weights
 from tsmult.errors import ResourceLimit, WindowExceeded
 from tsmult.filtration import JumpChain, jumpset_of
-from tsmult.germs import Germ, alpha_tilde, diagonal_microlocal_chain
+from tsmult.germs import Germ, alpha_tilde, diagonal_microlocal_chain, one_var_weight
 from tsmult.monomial import MonomialIdeal
 from tsmult.oracles import _canonical, box_model
 from tsmult.weights import (_one_var_scaled, convolve, diagonal_model, generators_at,
@@ -46,6 +47,36 @@ def test_one_var_tables_match_bruteforce():
                     want = [0]  # z^0 is always kept
                 table = _one_var_scaled(m, cap, m, usual)
                 assert table.tolist() == [weight(m, k) * m for k in want], (m, cap, usual)
+
+
+def test_tables_stop_where_their_pairing_reads(monkeypatch):
+    # variable j's table holds the z^k lighter than the cap less the other
+    # variables' z^0 weight, and z^0 always, counted from germs.one_var_weight
+    lengths = []
+    build = weights._one_var_scaled
+
+    def recorded(*args):
+        table = build(*args)
+        lengths.append(len(table))
+        return table
+
+    monkeypatch.setattr(weights, "_one_var_scaled", recorded)
+    rng = random.Random(27)
+    for _ in range(300):
+        ms = tuple(rng.randint(2, 9) for _ in range(rng.randint(1, 4)))
+        q = rng.randint(1, 8)
+        cap = F(rng.randint(1, 3 * q), q)
+        usual = rng.random() < 0.5
+        lengths.clear()
+        diagonal_model(ms, cap, usual)
+        want = []
+        for j, m in enumerate(ms):
+            room = cap - sum(F(1, mi) for i, mi in enumerate(ms) if i != j)
+            k = 1
+            while one_var_weight(m, k, usual) < room:
+                k += 1
+            want.append(k)
+        assert lengths == want, (ms, cap, usual)
 
 
 _BOX_CAPS = (F(1, 3), F(1), F(3, 2), F(2), F(3), F(4))
@@ -149,6 +180,27 @@ def test_generators_match_bruteforce_usual(ms):
         for strict in (False, True):
             assert _gens(model, alpha, strict) == bf_diagonal_gens(
                 ms, alpha, strict=strict, usual=True), (ms, alpha, strict)
+
+
+@st.composite
+def _headroom_cases(draw):
+    ms = tuple(draw(st.lists(st.integers(2, 7), min_size=1, max_size=3)))
+    q = draw(st.integers(1, 2 * lcm(*ms)))
+    return ms, F(draw(st.integers(0, 2 * q)), q), draw(st.booleans()), draw(st.booleans())
+
+
+@settings(max_examples=200, deadline=None)
+@given(_headroom_cases())
+def test_least_cap_is_sufficient_and_tight(case):
+    # at the least cap the headroom rule allows, the generators are the
+    # brute-force ones; 1/D below it, generators_at refuses the threshold
+    ms, alpha, strict, usual = case
+    denom = lcm(*ms)
+    cap = weights._least_cap(alpha, denom, strict)
+    assert _gens(box_model(ms, cap, usual), alpha, strict) == bf_diagonal_gens(
+        ms, alpha, strict=strict, usual=usual)
+    with pytest.raises(WindowExceeded, match="too close to the model cap"):
+        generators_at(box_model(ms, cap - F(1, denom), usual), alpha, strict)
 
 
 def test_zero_exponent_kept_when_weight_exceeds_cap():
@@ -274,7 +326,7 @@ def test_pairing_peak_within_admitted_bytes(monkeypatch, ms, right):
     # z^2 makes the left model nearly as long as the output
     factors = None if right is None else (diagonal_model(ms, F(3)), diagonal_model(right, F(3)))
     admitted = []
-    monkeypatch.setattr(weights, "_admit", lambda nbytes, what: admitted.append(nbytes))
+    monkeypatch.setattr(weights, "_admit", lambda nbytes, *what: admitted.append(nbytes))
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
