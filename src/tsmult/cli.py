@@ -21,17 +21,18 @@ import re
 import sys
 import time
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
-from .convolution import irrationality_module, ts_convolve_chains
+# Only what parsing needs loads here: each command imports its engine
+# module once its input is read, so a cold call loads no module it does
+# not run and a malformed germ loads none.
 from .errors import GermParseError, OracleMismatch, TsmultError
-from .filtration import JumpSet, graded_at, periodic_extend, usual_jumpset
 from .germs import (DEFAULT_WINDOW, Germ, diagonal_microlocal_chain,
                     diagonal_usual_chain, lct, one_var_microlocal_chain)
-from .monomial import QuotientBasis
-from .oracles import (MonteCarloConfig, box_model, mc_case_set, monte_carlo_integrable,
-                      summation_path)
-from .spectral import EigenTable, Spectrum, _eigentable_of, consistency_check, spectrum_of
+
+if TYPE_CHECKING:
+    from .monomial import QuotientBasis
+    from .spectral import EigenTable, Spectrum
 
 # One named group per token kind; `\d` is a decimal digit (Unicode Nd), so
 # `int` reads every number, and a character no group matches is an error.
@@ -141,15 +142,20 @@ def cmd_lct(args: argparse.Namespace) -> Output:
 
 def cmd_jc(args: argparse.Namespace) -> Output:
     window = _window(args)
+    germ = parse(args.germ)
+    from .filtration import JumpSet, usual_jumpset
+    from .spectral import spectrum_of
     # the microlocal jumps in (0, 1) are the spectral numbers there
-    spectrum = spectrum_of(parse(args.germ))
+    spectrum = spectrum_of(germ)
     below_one = spectrum.keys[spectrum.keys < spectrum.denom]
     jumps = usual_jumpset(JumpSet(spectrum.denom, below_one, Fraction(1)), window)
     return 0, _json(jumps.to_json()) if args.json else jumps.value_strings()
 
 
 def cmd_ideal(args: argparse.Namespace) -> Output:
-    scaled = periodic_extend(diagonal_usual_chain(parse(args.germ)), args.alpha)
+    germ = parse(args.germ)
+    from .filtration import periodic_extend
+    scaled = periodic_extend(diagonal_usual_chain(germ), args.alpha)
     if args.json:
         return 0, _json(scaled.to_json())
     power = f"power {scaled.power} " if scaled.power else ""
@@ -159,20 +165,28 @@ def cmd_ideal(args: argparse.Namespace) -> Output:
 
 def cmd_graded(args: argparse.Namespace) -> Output:
     window = _window(args)
-    chain = diagonal_microlocal_chain(parse(args.germ), window=window)
+    germ = parse(args.germ)
+    from .filtration import graded_at
+    chain = diagonal_microlocal_chain(germ, window=window)
     return _basis(args, graded_at(chain, args.alpha), alpha=str(args.alpha))
 
 
 def cmd_spectrum(args: argparse.Namespace) -> Output:
-    return _table(args, spectrum_of(parse(args.germ)))
+    germ = parse(args.germ)
+    from .spectral import spectrum_of
+    return _table(args, spectrum_of(germ))
 
 
 def cmd_eigen(args: argparse.Namespace) -> Output:
-    return _table(args, _eigentable_of(parse(args.germ).exponents))
+    germ = parse(args.germ)
+    from .spectral import _eigentable_of
+    return _table(args, _eigentable_of(germ.exponents))
 
 
 def cmd_irrationality(args: argparse.Namespace) -> Output:
-    return _basis(args, irrationality_module(parse(args.germ)))
+    germ = parse(args.germ)
+    from .convolution import irrationality_module
+    return _basis(args, irrationality_module(germ))
 
 
 def _since(start: float) -> float:
@@ -191,6 +205,7 @@ def _case(name: str, check: Callable[[], str | None]) -> dict:
 
 
 def _summation_mismatch(m1: int, m2: int, alpha: Fraction) -> str | None:
+    from .oracles import summation_path
     try:
         summation_path(m1, m2, alpha)
     except OracleMismatch as exc:
@@ -207,6 +222,8 @@ def _suite_summation() -> list[dict]:
 
 def _convolution_mismatch(m1: int, m2: int) -> str | None:
     """The convolved chain's model against the box enumeration, its independent route."""
+    from .convolution import ts_convolve_chains
+    from .oracles import box_model
     model = ts_convolve_chains(one_var_microlocal_chain(m1), one_var_microlocal_chain(m2)).model
     if model != box_model((m1, m2), model.cap):
         return "convolved chain differs from the box enumeration"
@@ -219,6 +236,7 @@ def _suite_convolution() -> list[dict]:
 
 
 def _spectral_mismatch(ms: tuple[int, ...]) -> str | None:
+    from .spectral import consistency_check
     report = consistency_check(Germ(ms))
     return None if report.ok else json.dumps(report.to_json())
 
@@ -233,6 +251,7 @@ def _suite_spectral() -> list[dict]:
 
 
 def _suite_montecarlo(seed: int, count: int = 40) -> tuple[list[dict], bool, dict]:
+    from .oracles import MonteCarloConfig, mc_case_set, monte_carlo_integrable
     mc_config = MonteCarloConfig(seed=seed)
     cases = []
     for case in mc_case_set(count=count, seed=seed + 1):

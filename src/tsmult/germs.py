@@ -12,11 +12,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm, prod
+from typing import TYPE_CHECKING
 
-from . import weights
 from .errors import GermUnsupported, WindowExceeded
-from .filtration import JumpChain, v_to_j
 from .monomial import Rat, as_fraction
+
+if TYPE_CHECKING:
+    from .filtration import JumpChain
 
 DEFAULT_WINDOW = Fraction(2)
 _ONE = Fraction(1)  # shared by default coefficients and lct; Fractions are immutable
@@ -90,8 +92,11 @@ def ts_sum(left: Germ, right: Germ) -> Germ:
 def diagonal_microlocal_chain(germ: Germ, window: Fraction = DEFAULT_WINDOW) -> JumpChain:
     """Left-continuous microlocal chain: membership of z^nu at level a
     is sum_j w(m_j, nu_j) >= a, with w the one-variable microlocal weight."""
+    # imported here, so a germ and its lct load no weight-model code
+    from . import filtration, weights
     window = Fraction(window)
-    return JumpChain(weights.diagonal_model(germ.exponents, cap=window + 2), "V", window)
+    model = weights.diagonal_model(germ.exponents, cap=window + 2)
+    return filtration.JumpChain(model, "V", window)
 
 
 def one_var_microlocal_chain(m: int, window: Fraction = DEFAULT_WINDOW) -> JumpChain:
@@ -110,7 +115,8 @@ def diagonal_usual_chain(germ: Germ, window: Fraction = Fraction(1)) -> JumpChai
     if window > 1:
         raise WindowExceeded("usual chains are monomial on [0, 1) only; "
                              "use periodic_extend beyond")
-    return v_to_j(diagonal_microlocal_chain(germ, window))
+    from . import filtration
+    return filtration.v_to_j(diagonal_microlocal_chain(germ, window))
 
 
 def one_var_usual_chain(m: int, window: Fraction = Fraction(1)) -> JumpChain:

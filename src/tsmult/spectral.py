@@ -24,7 +24,6 @@ import numpy as np
 
 from .germs import Germ, alpha_tilde, milnor_number
 from .monomial import Rat
-from .oracles import enumerated_spectrum
 from .weights import _admit, _admit_int64, _runs, _Table
 
 
@@ -254,6 +253,7 @@ def consistency_check(germ: Germ) -> SpectralReport:
     minimum against the minimal level.  All of it compares int64 numerators;
     the minimum is the one Fraction made.
     """
+    from .oracles import enumerated_spectrum  # the oracles stay off the spectral path
     ms = germ.exponents
     spectrum = spectrum_of(germ)
     folded = fold_spectrum(spectrum)

@@ -21,7 +21,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import tsmult
-from tsmult import cli, weights
+from tsmult import cli, oracles, spectral, weights
 from tsmult.cli import main, parse
 from tsmult.errors import GermParseError, OracleMismatch
 from tsmult.filtration import jumpset_of, usual_jumpset
@@ -586,7 +586,7 @@ def test_memory_error_without_message_is_one_line(capsys, monkeypatch):
     def exhausted(germ):
         raise MemoryError()
 
-    monkeypatch.setattr(cli, "spectrum_of", exhausted)
+    monkeypatch.setattr(spectral, "spectrum_of", exhausted)
     assert _run(capsys, ["spectrum", "x^2+y^3"]) == (2, "", "error: out of memory\n")
 
 
@@ -660,7 +660,7 @@ def test_verify_reports_a_failing_case_and_exits_3(capsys, monkeypatch):
         if (m1, m2, alpha) == (2, 3, F(1, 2)):
             raise OracleMismatch("paths disagree")
 
-    checked = cli.consistency_check
+    checked = spectral.consistency_check
 
     def consistency_check(germ):
         report = checked(germ)
@@ -677,8 +677,8 @@ def test_verify_reports_a_failing_case_and_exits_3(capsys, monkeypatch):
                                         model.weight[:-1], model.drop[:-1])
         return model
 
-    monkeypatch.setattr(cli, "summation_path", summation_path)
-    monkeypatch.setattr(cli, "consistency_check", consistency_check)
+    monkeypatch.setattr(oracles, "summation_path", summation_path)
+    monkeypatch.setattr(spectral, "consistency_check", consistency_check)
     monkeypatch.setattr(weights, "_pair", pair)
     for suite, case, total in (("summation", "summation (2,3) alpha 1/2", 180),
                                ("convolution", "convolution (2,3)", 25),

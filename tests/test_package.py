@@ -1,5 +1,6 @@
-"""The package's lazy exports, the command line's BLAS thread default, and a
-guard that the sources call no BLAS routine.
+"""The package's lazy exports, the command line's BLAS thread default and
+cold-start imports, and guards that the sources call no BLAS routine and
+load no oracle on import.
 
 The import checks run in a child process, where no earlier test has loaded
 numpy or a tsmult submodule.
@@ -17,11 +18,15 @@ import pytest
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
-def _child(code, **env):
+def _env(**env):
     base = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
     old = base.get("PYTHONPATH")
     base["PYTHONPATH"] = str(SRC) if not old else f"{SRC}{os.pathsep}{old}"
-    run = subprocess.run([sys.executable, "-c", code], env={**base, **env},
+    return {**base, **env}
+
+
+def _child(code, **env):
+    run = subprocess.run([sys.executable, "-c", code], env=_env(**env),
                          capture_output=True, text=True, timeout=60)
     assert run.returncode == 0, run.stderr
     return json.loads(run.stdout)
@@ -84,6 +89,47 @@ def test_main_module_pins_blas_to_one_thread():
 def test_main_module_keeps_a_preset_thread_count():
     setting, _ = _child(_THREADS, OPENBLAS_NUM_THREADS="2")
     assert setting == "2"
+
+
+# the tsmult modules a cold `python -m tsmult` call loads beyond what
+# parsing needs (cli errors germs monomial); a malformed germ loads no more
+_ENGINE = {
+    ("lct", "x^2+y^3"): "",
+    ("ideal", "--alpha", "1/2", "x^2+y^3"): "filtration weights",
+    ("graded", "--alpha", "1/2", "x^2+y^3"): "filtration weights",
+    ("spectrum", "x^2+y^3"): "spectral weights",
+    ("eigen", "x^2+y^3"): "spectral weights",
+    ("jc", "x^2+y^3"): "filtration spectral weights",
+    ("irrationality", "x^2+y^3"): "convolution filtration spectral weights",
+    ("verify",): "convolution filtration oracles spectral weights",
+}
+_ENGINE.update({(*argv[:-1], "x^"): "" for argv in _ENGINE if argv != ("verify",)})
+
+
+@pytest.mark.parametrize("argv", _ENGINE, ids=" ".join)
+def test_each_command_loads_only_its_engine(argv):
+    run = subprocess.run([sys.executable, "-X", "importtime", "-m", "tsmult", *argv],
+                         env=_env(), capture_output=True, text=True, timeout=60)
+    assert run.returncode == (2 if argv[-1] == "x^" else 0), run.stderr
+    # -X importtime writes "import time: self | cumulative | name" per first import
+    names = (line.rsplit("|", 1)[-1].strip() for line in run.stderr.splitlines()
+             if line.startswith("import time:"))
+    loaded = sorted(name[len("tsmult."):] for name in names if name.startswith("tsmult."))
+    assert loaded == sorted(f"cli errors germs monomial {_ENGINE[argv]}".split())
+
+
+def test_main_module_freezes_what_it_imports():
+    # `python -m tsmult` moves the imported heap out of the collector's reach,
+    # and a cycle made after it is still collected; importing cli freezes nothing
+    frozen, collected = _child("""
+import gc, json, tsmult.__main__
+cycle = []
+cycle.append(cycle)
+del cycle
+print(json.dumps([gc.get_freeze_count(), gc.collect()]))
+""")
+    assert frozen > 0 and collected >= 1
+    assert _child("import gc, json, tsmult.cli; print(json.dumps(gc.get_freeze_count()))") == 0
 
 
 _BLAS_NAMES = {"dot", "vdot", "matmul", "inner", "tensordot", "einsum", "linalg"}
@@ -158,3 +204,30 @@ def test_only_the_frozen_base_defines_setattr_and_setstate():
                           if isinstance(item, ast.FunctionDef)
                           and item.name in ("__setattr__", "__setstate__")]
     assert found == ["monomial._Frozen.__setstate__", "monomial._Frozen.__setattr__"]
+
+
+def _imported_on_load(tree):
+    """The modules a source imports when it loads: every import outside a
+    function body, relative ones resolved in the tsmult package."""
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            if node.level:  # every source sits directly in the package
+                base = f"tsmult.{base}".rstrip(".")
+            yield base
+            yield from (f"{base}.{alias.name}" for alias in node.names)
+        elif not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def test_no_module_loads_the_oracles_on_import():
+    # the oracles are independent checks, imported only by the code that runs
+    # one, so no command or library call but a check pays for loading them
+    found = [f"{path.name}: {name}" for path in sorted((SRC / "tsmult").glob("*.py"))
+             for name in _imported_on_load(ast.parse(path.read_text(), str(path)))
+             if name == "tsmult.oracles"]
+    assert found == []
