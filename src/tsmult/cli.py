@@ -102,6 +102,16 @@ def _rat(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a rational: {text!r}") from exc
 
 
+def _seed(text: str) -> int:
+    try:
+        seed = int(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from exc
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative, got {seed}")
+    return seed
+
+
 def _window(args: argparse.Namespace) -> Fraction:
     """The window of --window, which must be positive."""
     if args.window <= 0:
@@ -352,7 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
                       "irrationality module (needs at least two variables)")
     v = sub.add_parser("verify", help="run cross-oracle verification suites")
     v.add_argument("--suite", default="all", choices=[*_SUITES, "all"])
-    v.add_argument("--seed", type=int, default=0, help="Monte Carlo seed")
+    v.add_argument("--seed", type=_seed, default=0, help="Monte Carlo seed (nonnegative)")
     v.add_argument("--json", action="store_true", help="emit JSON")
     v.set_defaults(func=cmd_verify)
     return parser

@@ -6,9 +6,10 @@ weight model by enumeration of the whole exponent box, and the spectrum
 by enumeration of every interior tuple, as integer numerators) plus one
 statistical oracle (Monte Carlo estimation of the defining
 integral over dyadic shells).  The statistical oracle is advisory: it
-never gates a symbolic result, only its own agreement test.  Its shells
-are independent draws, so they run concurrently on helper threads, with
-the same bits as one after another.
+never gates a symbolic result, only its own agreement test.  It takes
+|f| in real arithmetic, from the moduli of the terms and their phases
+relative to the first.  Its shells are independent draws, so they run
+concurrently on helper threads, with the same bits as one after another.
 """
 
 from __future__ import annotations
@@ -244,6 +245,8 @@ class MonteCarloConfig:
             raise ValueError(f"need at least 1 sample, got {self.samples}")
         if not 0 <= self.margin < 1:
             raise ValueError(f"margin {self.margin} outside [0, 1)")
+        if self.seed < 0:  # numpy seeds its generators from nonnegative ints only
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
 
 
 def _case_key(ms: Sequence[int], nu: Sequence[int], alpha: Fraction) -> int:
@@ -251,21 +254,6 @@ def _case_key(ms: Sequence[int], nu: Sequence[int], alpha: Fraction) -> int:
     for v in (*ms, -1, *nu, -1, alpha.numerator, alpha.denominator):
         h = (h * 1000003 + v + 11) % ((1 << 61) - 1)
     return h
-
-
-def _fold_columns(ufunc: np.ufunc, a: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """reduce(ufunc, a.T) written into out: the columns combined left to right."""
-    np.copyto(out, a[:, 0])
-    for j in range(1, a.shape[1]):
-        ufunc(out, a[:, j], out=out)
-    return out
-
-
-def _row_sum(terms: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """terms.sum(axis=1) into out, bit for bit.  numpy adds up to three complex
-    terms of a row in order, so those run as column adds on views; it adds
-    four or more pairwise, so those rows stay a row reduce."""
-    return _fold_columns(np.add, terms, out) if terms.shape[1] < 4 else terms.sum(axis=1, out=out)
 
 
 def _workers(shells: int) -> int:
@@ -286,6 +274,13 @@ def monte_carlo_integrable(germ: Germ, nu: Sequence[int], alpha: Rat,
     geometric ratio by least squares on the log estimates, and compares
     it against 1 with the configured margin.
 
+    A sample is z_j = r_j exp(2 pi i theta_j) with r_j = radius * sqrt(u_j)
+    on uniform draws u and theta (theta only for two or more variables).
+    |f| is a modulus, so it is computed in float64 from |z_j^m_j| and the
+    phases relative to the first term, with no complex array; the
+    estimates agree with the complex formula on the same draws to
+    rounding (tests/bruteforce.py::bf_mc_estimates keeps that formula).
+
     Each shell draws from its own generator, seeded by (seed, case, k), so
     the shells run concurrently: the calling thread and one helper thread
     per further CPU (see _workers) each take every workers-th shell, and
@@ -302,49 +297,63 @@ def monte_carlo_integrable(germ: Germ, nu: Sequence[int], alpha: Rat,
         raise ValueError("alpha must be nonnegative")
     d = germ.dim
     n = config.samples
-    ms = np.array(germ.exponents, dtype=np.float64)
-    coeffs = np.array([float(c) for c in germ.coefficients], dtype=np.float64)
-    two_nu = 2.0 * np.array(nu, dtype=np.float64)
+    ms = germ.exponents
+    coeffs = [float(c) for c in germ.coefficients]
+    nu_cols = [(j, float(v)) for j, v in enumerate(nu) if v]
     two_alpha = 2.0 * float(alpha)
-    key = _case_key(germ.exponents, nu, alpha)
+    key = _case_key(ms, nu, alpha)
     estimates = [0.0] * config.shells
     workers = _workers(config.shells)
 
     def run_shells(first: int) -> None:
-        # shells first, first + workers, ... on buffers made once per call;
-        # each step is the ufunc the one-shot expressions radius * sqrt(u),
-        # radii * exp(2j * pi * theta), coeffs * z ** ms and
-        # prod / f_abs ** two_alpha * in_shell run, with the same operand
-        # order, so the bits are the same as on fresh arrays
-        radii, theta = np.empty((n, d)), np.empty((n, d))
-        z = np.empty((n, d), dtype=np.complex128)
-        total = np.empty(n, dtype=np.complex128)
-        col, f_abs = np.empty(n), np.empty(n)
+        # shells first, first + workers, ... on buffers made once per call.
+        # |f| = |re + i im| with re = sum_j c_j |z_j^m_j| cos psi_j, im the
+        # same with sin, |z_j^m_j| = radius^m_j * u_j^(m_j / 2) and the
+        # relative phase psi_j = 2 pi (m_j theta_j - m_1 theta_1)
+        u, theta = np.empty((n, d)), np.empty((n, d))
+        cols = np.empty((d, n))  # u by variable, each one contiguous
+        re, im, term, phase, trig = (np.empty(n) for _ in range(5))
         in_shell = np.empty(n, dtype=bool)
         for k in range(first, config.shells + 1, workers):
             rng = np.random.default_rng([config.seed, key, k])
             radius = 2.0 ** (-k)
-            rng.random(out=radii)
-            np.sqrt(radii, out=radii)
-            np.multiply(radius, radii, out=radii)
-            rng.random(out=theta)
-            np.multiply(2j * np.pi, theta, out=z)
-            np.exp(z, out=z)
-            np.multiply(radii, z, out=z)
-            # reductions over a row's d entries run as d - 1 whole-column ops on
-            # views, in numpy's order for a row reduce, so the bits are the same
-            np.greater(_fold_columns(np.maximum, radii, col), radius / 2.0, out=in_shell)
-            z **= ms
-            np.multiply(coeffs, z, out=z)
-            np.abs(_row_sum(z, total), out=f_abs)
-            np.maximum(f_abs, 1e-300, out=f_abs)
+            rng.random(out=u)
+            np.copyto(cols, u.T)
+            # max_j |z_j| > radius / 2 exactly when max_j u_j > 1/4
+            np.greater(np.maximum.reduce(cols, axis=0, out=term), 0.25, out=in_shell)
+            np.power(cols[0], 0.5 * ms[0], out=re)
+            re *= coeffs[0] * radius ** ms[0]
+            if d == 1:  # psi_1 = 0
+                np.abs(re, out=re)
+            else:
+                rng.random(out=theta)  # the last draw, so d = 1 may skip it
+                im.fill(0.0)
+                for j in range(1, d):
+                    # psi_j / 2 pi less its nearest integer, which is exact:
+                    # libm's cos and sin run about twice as fast on [-pi, pi]
+                    # as on the raw phase's range
+                    np.multiply(ms[j], theta[:, j], out=phase)
+                    phase -= np.multiply(ms[0], theta[:, 0], out=trig)
+                    phase -= np.rint(phase, out=trig)
+                    phase *= 2.0 * np.pi
+                    np.power(cols[j], 0.5 * ms[j], out=term)
+                    term *= coeffs[j] * radius ** ms[j]
+                    re += np.multiply(term, np.cos(phase, out=trig), out=trig)
+                    im += np.multiply(term, np.sin(phase, out=trig), out=trig)
+                re *= re
+                im *= im
+                re += im
+                np.sqrt(re, out=re)
+            f_abs = np.maximum(re, 1e-300, out=re)
             f_abs **= two_alpha  # `**` keeps numpy's scalar fast paths (sqrt, square)
-            radii **= two_nu
-            integrand = _fold_columns(np.multiply, radii, col)
-            integrand /= f_abs
+            # prod_j r_j^(2 nu_j) = radius^(2 |nu|) * prod_j u_j^nu_j, whose
+            # power of two joins the shell volume
+            integrand = np.reciprocal(f_abs, out=f_abs)
+            for j, v in nu_cols:
+                integrand *= np.power(cols[j], v, out=term)
             integrand *= in_shell
-            volume = (np.pi * radius * radius) ** d
-            estimates[k - 1] = volume * float(np.mean(integrand))
+            scale = (np.pi * radius * radius) ** d * radius ** (2 * sum(nu))
+            estimates[k - 1] = scale * float(np.mean(integrand))
 
     errors: list[BaseException] = []
 
@@ -413,8 +422,8 @@ def mc_case_set(count: int = 200, seed: int = 1,
     """Deterministic random cases keeping alpha away from every jump.
 
     Draws one- and two-variable germs with exponents up to 5, a monomial
-    in a small box, and alpha on the 1/60 grid below 0.95 at distance at
-    least min_gap from the usual jumping coefficients and from the
+    in a small box, and alpha on the 1/60 grid up to 57/60 = 0.95 at
+    distance at least min_gap from the usual jumping coefficients and from the
     monomial's own integrability threshold.
     """
     rng = np.random.default_rng([seed, 0xCA5E5])

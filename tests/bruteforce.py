@@ -4,9 +4,10 @@ Everything here is written from first principles with plain Python data
 structures: divisibility scans instead of antichain bookkeeping, weight
 recursions instead of closed forms, and exhaustive box enumeration
 instead of vectorized tables.  The two oracle kernels at the end are the
-earlier forms of the package's own: Fraction elimination for the LP and
-numpy's row reductions for Monte Carlo, which the faster forms must match
-verdict for verdict and bit for bit.
+earlier forms of the package's own: Fraction elimination for the LP, which
+the faster form must match verdict for verdict, and the complex formula for
+Monte Carlo, which the real-arithmetic form must match verdict for verdict
+and, on the same draws, to rounding.
 """
 
 from __future__ import annotations
@@ -306,8 +307,10 @@ def bf_fm_feasible(constraints, nvars: int) -> bool:
 
 def bf_mc_estimates(germ, nu: Sequence[int], alpha: Fraction,
                     config) -> tuple[list[float], float]:
-    """Per-shell estimates and fitted ratio of the Monte Carlo oracle, with
-    numpy's reductions over axis 1 of the (samples, d) draws."""
+    """Per-shell estimates and fitted ratio of the Monte Carlo oracle from the
+    complex formula z = r exp(2 pi i theta), |sum c_j z_j^m_j| on the same
+    draws, with numpy's reductions over axis 1: the package's earlier
+    kernel, kept as the independent reference for the real-arithmetic one."""
     alpha = Fraction(alpha)
     nu = tuple(int(v) for v in nu)
     d = germ.dim

@@ -704,6 +704,20 @@ def test_verify_reports_a_failing_case_and_exits_3(capsys, monkeypatch):
         assert [c["detail"] for c in entry["cases"] if not c["ok"]] == [detail]
 
 
+@pytest.mark.parametrize("seed, message", [("-1", "must be nonnegative, got -1"),
+                                           ("x", "not an integer: 'x'")])
+def test_verify_refuses_a_bad_seed_before_any_suite(capsys, monkeypatch, seed, message):
+    # numpy seeds from nonnegative ints only; the flag is refused by name
+    # while parsing, so no suite starts, the summation one included
+    def never(seed):
+        raise AssertionError("a suite ran")
+
+    monkeypatch.setattr(cli, "_SUITES", dict.fromkeys(cli._SUITES, never))
+    for suite in ("summation", "all"):
+        code, out, err = _run(capsys, ["verify", "--suite", suite, "--seed", seed])
+        assert (code, out, err) == (2, "", f"error: argument --seed: {message}\n")
+
+
 def test_montecarlo_evidence_schema():
     from tsmult.germs import Germ
     from tsmult.oracles import MonteCarloConfig, monte_carlo_integrable
