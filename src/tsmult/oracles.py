@@ -6,9 +6,11 @@ weight model by enumeration of the whole exponent box, and the spectrum
 by enumeration of every interior tuple, as integer numerators) plus one
 statistical oracle (Monte Carlo estimation of the defining
 integral over dyadic shells).  The statistical oracle is advisory: it
-never gates a symbolic result, only its own agreement test.  It takes
-|f| in real arithmetic, from the moduli of the terms and their phases
-relative to the first.  Its shells are independent draws, so they run
+never gates a symbolic result, only its own agreement test.  It works in
+the log domain on real draws: log u once per variable, each term's
+modulus and the integrand by exp, and |f|^2 from the moduli and the
+phases relative to the first term, in closed form with one cosine for
+two variables.  Its shells are independent draws, so they run
 concurrently on helper threads, with the same bits as one after another.
 """
 
@@ -276,10 +278,14 @@ def monte_carlo_integrable(germ: Germ, nu: Sequence[int], alpha: Rat,
 
     A sample is z_j = r_j exp(2 pi i theta_j) with r_j = radius * sqrt(u_j)
     on uniform draws u and theta (theta only for two or more variables).
-    |f| is a modulus, so it is computed in float64 from |z_j^m_j| and the
-    phases relative to the first term, with no complex array; the
-    estimates agree with the complex formula on the same draws to
-    rounding (tests/bruteforce.py::bf_mc_estimates keeps that formula).
+    No complex array and no generic power is formed: with L_j = log u_j,
+    the integrand is exp(sum_j nu_j L_j - alpha max(log |f|^2, floor)),
+    |f| floored at 1e-300.  For one variable log |f|^2 is affine in L;
+    for two it is the log of (A - B)^2 + 4AB cos^2(psi / 2), A and B the
+    moduli |c_j z_j^m_j| = exp(log |c_j| + (m_j / 2)(L_j + log radius^2))
+    and psi the relative phase; for more, of re^2 + im^2 summed term by
+    term.  The estimates agree with the complex formula on the same draws
+    to rounding (tests/bruteforce.py::bf_mc_estimates keeps that formula).
 
     Each shell draws from its own generator, seeded by (seed, case, k), so
     the shells run concurrently: the calling thread and one helper thread
@@ -299,61 +305,107 @@ def monte_carlo_integrable(germ: Germ, nu: Sequence[int], alpha: Rat,
     n = config.samples
     ms = germ.exponents
     coeffs = [float(c) for c in germ.coefficients]
+    log_c = [math.log(abs(c)) for c in coeffs]
+    signs = [math.copysign(1.0, c) for c in coeffs]
+    half_turn = d == 2 and signs[0] != signs[1]
     nu_cols = [(j, float(v)) for j, v in enumerate(nu) if v]
-    two_alpha = 2.0 * float(alpha)
+    neg_alpha = -float(alpha)
+    floor = 2.0 * math.log(1e-300)  # |f| is floored at 1e-300
     key = _case_key(ms, nu, alpha)
     estimates = [0.0] * config.shells
     workers = _workers(config.shells)
 
     def run_shells(first: int) -> None:
-        # shells first, first + workers, ... on buffers made once per call.
-        # |f| = |re + i im| with re = sum_j c_j |z_j^m_j| cos psi_j, im the
-        # same with sin, |z_j^m_j| = radius^m_j * u_j^(m_j / 2) and the
-        # relative phase psi_j = 2 pi (m_j theta_j - m_1 theta_1)
+        # shells first, first + workers, ... on buffers made once per call,
+        # in the log domain: with L_j = log u_j, the integrand in the shell
+        # is exp(sum_j nu_j L_j - alpha max(log |f|^2, floor))
         u, theta = np.empty((n, d)), np.empty((n, d))
-        cols = np.empty((d, n))  # u by variable, each one contiguous
-        re, im, term, phase, trig = (np.empty(n) for _ in range(5))
-        in_shell = np.empty(n, dtype=bool)
-        for k in range(first, config.shells + 1, workers):
-            rng = np.random.default_rng([config.seed, key, k])
-            radius = 2.0 ** (-k)
-            rng.random(out=u)
-            np.copyto(cols, u.T)
-            # max_j |z_j| > radius / 2 exactly when max_j u_j > 1/4
-            np.greater(np.maximum.reduce(cols, axis=0, out=term), 0.25, out=in_shell)
-            np.power(cols[0], 0.5 * ms[0], out=re)
-            re *= coeffs[0] * radius ** ms[0]
-            if d == 1:  # psi_1 = 0
-                np.abs(re, out=re)
-            else:
-                rng.random(out=theta)  # the last draw, so d = 1 may skip it
-                im.fill(0.0)
-                for j in range(1, d):
-                    # psi_j / 2 pi less its nearest integer, which is exact:
-                    # libm's cos and sin run about twice as fast on [-pi, pi]
-                    # as on the raw phase's range
-                    np.multiply(ms[j], theta[:, j], out=phase)
+        logs = np.empty((d, n))  # u, then log u, by variable, each contiguous
+        expo, re, im, phase, trig, shell = (np.empty(n) for _ in range(6))
+
+        def log_modulus(j: int, times: float, out: np.ndarray) -> np.ndarray:
+            # times log |c_j z_j^m_j| = times ((m_j / 2)(L_j + log radius^2) + log |c_j|)
+            np.multiply(logs[j], times * 0.5 * ms[j], out=out)
+            out += times * (0.5 * ms[j] * log_r2 + log_c[j])
+            return out
+
+        # log(0) is -inf and exp may overflow to inf, both meant; errstate
+        # is per thread, so each worker sets its own
+        with np.errstate(divide="ignore", over="ignore"):
+            for k in range(first, config.shells + 1, workers):
+                rng = np.random.default_rng([config.seed, key, k])
+                radius = 2.0 ** (-k)
+                log_r2 = -2.0 * k * math.log(2.0)
+                rng.random(out=u)
+                np.copyto(logs, u.T)
+                # max_j |z_j| > radius / 2 exactly when max_j u_j > 1/4; 1.0 or 0.0
+                np.greater(np.maximum.reduce(logs, axis=0, out=expo), 0.25, out=shell)
+                np.log(logs, out=logs)  # -inf at a draw of 0, made finite below
+                if d == 1:  # log |f|^2 is affine in L
+                    log_modulus(0, 2.0, expo)
+                else:
+                    rng.random(out=theta)  # the last draw, so d = 1 may skip it
+                    # phase = psi_j / 2 pi less its nearest integer, for the
+                    # relative phase psi_j = 2 pi (m_j theta_j - m_1 theta_1)
+                    # (plus pi for d = 2 when the signs differ)
+                    np.multiply(ms[1], theta[:, 1], out=phase)
                     phase -= np.multiply(ms[0], theta[:, 0], out=trig)
+                if d == 2:
+                    # |f|^2 = A^2 + B^2 + 2AB cos psi for the moduli A and B, that
+                    # is (A - B)^2 + 4AB cos^2(psi / 2): no sin, and both terms
+                    # are nonnegative, so nothing cancels
+                    if half_turn:
+                        phase += 0.5
                     phase -= np.rint(phase, out=trig)
-                    phase *= 2.0 * np.pi
-                    np.power(cols[j], 0.5 * ms[j], out=term)
-                    term *= coeffs[j] * radius ** ms[j]
-                    re += np.multiply(term, np.cos(phase, out=trig), out=trig)
-                    im += np.multiply(term, np.sin(phase, out=trig), out=trig)
-                re *= re
-                im *= im
-                re += im
-                np.sqrt(re, out=re)
-            f_abs = np.maximum(re, 1e-300, out=re)
-            f_abs **= two_alpha  # `**` keeps numpy's scalar fast paths (sqrt, square)
-            # prod_j r_j^(2 nu_j) = radius^(2 |nu|) * prod_j u_j^nu_j, whose
-            # power of two joins the shell volume
-            integrand = np.reciprocal(f_abs, out=f_abs)
-            for j, v in nu_cols:
-                integrand *= np.power(cols[j], v, out=term)
-            integrand *= in_shell
-            scale = (np.pi * radius * radius) ** d * radius ** (2 * sum(nu))
-            estimates[k - 1] = scale * float(np.mean(integrand))
+                    phase *= np.pi
+                    np.cos(phase, out=phase)
+                    phase *= phase
+                    np.exp(log_modulus(0, 1.0, re), out=re)
+                    np.exp(log_modulus(1, 1.0, im), out=im)
+                    np.subtract(re, im, out=trig)
+                    trig *= trig
+                    re *= im
+                    re *= phase
+                    re *= 4.0
+                    re += trig
+                    np.log(re, out=expo)
+                elif d > 2:
+                    # |f| = |re + i im| with re = sum_j c_j |z_j^m_j| cos psi_j
+                    # and im the same with sin
+                    np.exp(log_modulus(0, 1.0, re), out=re)
+                    re *= signs[0]
+                    im.fill(0.0)
+                    for j in range(1, d):
+                        if j > 1:
+                            np.multiply(ms[j], theta[:, j], out=phase)
+                            phase -= np.multiply(ms[0], theta[:, 0], out=trig)
+                        # libm's cos and sin run about twice as fast on
+                        # [-pi, pi] as on the raw phase's range
+                        phase -= np.rint(phase, out=trig)
+                        phase *= 2.0 * np.pi
+                        np.exp(log_modulus(j, 1.0, expo), out=expo)
+                        expo *= signs[j]
+                        re += np.multiply(expo, np.cos(phase, out=trig), out=trig)
+                        im += np.multiply(expo, np.sin(phase, out=trig), out=trig)
+                    re *= re
+                    im *= im
+                    re += im
+                    np.log(re, out=expo)
+                # the floor keeps alpha * log |f|^2 finite, so alpha = 0 gives
+                # 1, and zeroing it outside the shell keeps exp there at most 1,
+                # never an inf to multiply by 0.  prod_j r_j^(2 nu_j) is
+                # radius^(2 |nu|) * exp(sum_j nu_j L_j), whose power of two
+                # joins the shell volume; only nu_j > 0 adds its L_j, so a
+                # draw u_j = 0 gives 0 there, as 0^nu_j does, and 1 elsewhere
+                np.maximum(expo, floor, out=expo)
+                expo *= neg_alpha
+                expo *= shell
+                for j, v in nu_cols:
+                    expo += np.multiply(logs[j], v, out=trig)
+                integrand = np.exp(expo, out=expo)
+                integrand *= shell
+                scale = (np.pi * radius * radius) ** d * radius ** (2 * sum(nu))
+                estimates[k - 1] = scale * float(np.mean(integrand))
 
     errors: list[BaseException] = []
 
@@ -440,15 +492,19 @@ def mc_case_set(count: int = 200, seed: int = 1,
             micro = jumpset_of(diagonal_microlocal_chain(germ, window=Fraction(1)))
             jumps[ms] = set(usual_jumpset(micro, Fraction(2)).values)
         guarded = jumps[ms] | {threshold}
-        # compare integer numerators over one common denominator
+        # in integers over one common denominator, a guarded value t rules
+        # out the j with |j * step - t| < gap: one open interval of j
         den = math.lcm(60, min_gap.denominator, *(t.denominator for t in guarded))
         gap = min_gap.numerator * (den // min_gap.denominator)
-        nums = [t.numerator * (den // t.denominator) for t in guarded]
         step = den // 60
-        candidates = [Fraction(j, 60) for j in range(1, 58)
-                      if all(abs(j * step - t) >= gap for t in nums)]
+        allowed = [True] * 58  # j = 1 .. 57; index 0 unused
+        for t in guarded:
+            t = t.numerator * (den // t.denominator)
+            for j in range(max((t - gap) // step + 1, 1), min(-((-t - gap) // step), 58)):
+                allowed[j] = False
+        candidates = [j for j in range(1, 58) if allowed[j]]
         if not candidates:
             continue
-        alpha = candidates[int(rng.integers(0, len(candidates)))]
+        alpha = Fraction(candidates[int(rng.integers(0, len(candidates)))], 60)
         cases.append(MonteCarloCase(germ, nu, alpha, alpha < threshold))
     return cases

@@ -320,10 +320,20 @@ def _strict_steps(model: WeightModel, hi: Fraction) -> tuple[np.ndarray, np.ndar
     indices, [searchsorted(drop), searchsorted(weight)), and the pairs
     are those runs regrouped by level.  The work is O(atoms log levels +
     total generators), and no Python object is made per level.
+
+    The pair count is the sum of the runs, known before any pair array is
+    made, and admitted with what the steps will hold (tracemalloc): at
+    most 8 (dim + 2) bytes a pair, the pair keys here and the generator
+    rows filtration makes from them, ~500 bytes a level for its step
+    objects, and the model, which stays held.
     """
     keys = _levels_below(model, hi)
     first = np.searchsorted(keys, model.drop, side="left")
     runs = np.maximum(np.searchsorted(keys, model.weight, side="left") - first, 0)
+    pairs, held = int(runs.sum()), model.exps.nbytes + model.weight.nbytes + model.drop.nbytes
+    _admit(8 * (model.dim + 2) * pairs + 500 * len(keys) + held,
+           "steps of {} atoms below {}: {} levels, {} (level, generator) pairs",
+           len(model.weight), hi, len(keys), pairs)
     used = np.flatnonzero(runs)
     runs = runs[used]
     # one int64 key per (level, atom) pair, level * n + the atom's index into
@@ -333,7 +343,7 @@ def _strict_steps(model: WeightModel, hi: Fraction) -> tuple[np.ndarray, np.ndar
     n = len(used)
     starts = np.cumsum(runs) - runs
     pair = np.repeat((first[used] - starts) * n + np.arange(n), runs)
-    pair += n * np.arange(int(runs.sum()), dtype=np.int64)
+    pair += n * np.arange(pairs, dtype=np.int64)
     pair.sort()
     offsets = np.searchsorted(pair, np.arange(len(keys) + 1) * n)
     return keys, offsets, used[pair % n]

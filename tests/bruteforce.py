@@ -3,11 +3,13 @@
 Everything here is written from first principles with plain Python data
 structures: divisibility scans instead of antichain bookkeeping, weight
 recursions instead of closed forms, and exhaustive box enumeration
-instead of vectorized tables.  The two oracle kernels at the end are the
+instead of vectorized tables.  The oracle routines at the end are the
 earlier forms of the package's own: Fraction elimination for the LP, which
-the faster form must match verdict for verdict, and the complex formula for
-Monte Carlo, which the real-arithmetic form must match verdict for verdict
-and, on the same draws, to rounding.
+the faster form must match verdict for verdict; the complex formula for
+Monte Carlo, which the log-domain form must match verdict for verdict
+and, on the same draws, to rounding; and the Monte Carlo case draw that
+tests every grid point against every guarded value, which the interval
+form must match case for case.
 """
 
 from __future__ import annotations
@@ -22,8 +24,10 @@ import numpy as np
 
 from tsmult import weights
 from tsmult.convolution import GradedSummand
+from tsmult.filtration import jumpset_of, usual_jumpset
+from tsmult.germs import Germ, diagonal_microlocal_chain, one_var_weight
 from tsmult.monomial import QuotientBasis
-from tsmult.oracles import Constraint, _case_key
+from tsmult.oracles import Constraint, MonteCarloCase, _case_key
 
 
 def bf_usual_weight(m: int, k: int) -> Fraction:
@@ -310,7 +314,7 @@ def bf_mc_estimates(germ, nu: Sequence[int], alpha: Fraction,
     """Per-shell estimates and fitted ratio of the Monte Carlo oracle from the
     complex formula z = r exp(2 pi i theta), |sum c_j z_j^m_j| on the same
     draws, with numpy's reductions over axis 1: the package's earlier
-    kernel, kept as the independent reference for the real-arithmetic one."""
+    kernel, kept as the independent reference for the log-domain one."""
     alpha = Fraction(alpha)
     nu = tuple(int(v) for v in nu)
     d = germ.dim
@@ -329,10 +333,46 @@ def bf_mc_estimates(germ, nu: Sequence[int], alpha: Fraction,
         in_shell = radii.max(axis=1) > radius / 2.0
         f_abs = np.abs((coeffs * z ** ms).sum(axis=1))
         np.maximum(f_abs, 1e-300, out=f_abs)
-        integrand = np.prod(radii ** two_nu, axis=1) / f_abs ** two_alpha
+        # a draw of 0 in every variable makes 0 / 0 when f_abs ** two_alpha
+        # underflows; it lies outside the shell, so it counts 0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            integrand = np.prod(radii ** two_nu, axis=1) / f_abs ** two_alpha
         volume = (np.pi * radius * radius) ** d
-        estimates.append(volume * float(np.mean(integrand * in_shell)))
+        estimates.append(volume * float(np.mean(np.where(in_shell, integrand, 0.0))))
     ks = np.arange(1, config.shells + 1, dtype=np.float64)
     logs = np.log2(np.maximum(estimates, 1e-300))
     slope = float(np.polyfit(ks, logs, 1)[0])
     return estimates, 2.0 ** slope
+
+
+def bf_mc_case_set(count: int = 200, seed: int = 1,
+                   min_gap: Fraction = Fraction(1, 20)) -> list[MonteCarloCase]:
+    """oracles.mc_case_set with each of the 57 grid points j / 60 tested
+    against every guarded value, as integer numerators over one common
+    denominator: the package's earlier loop, kept as the reference for the
+    interval form."""
+    rng = np.random.default_rng([seed, 0xCA5E5])
+    cases: list[MonteCarloCase] = []
+    jumps: dict[tuple[int, ...], set[Fraction]] = {}
+    while len(cases) < count:
+        d = 1 if rng.random() < 0.55 else 2
+        ms = tuple(int(rng.integers(2, 6)) for _ in range(d))
+        nu = tuple(int(rng.integers(0, m + 1)) for m in ms)
+        germ = Germ(ms)
+        weight = sum(one_var_weight(m, v, usual=True) for m, v in zip(ms, nu))
+        threshold = min(weight, Fraction(1))
+        if ms not in jumps:
+            micro = jumpset_of(diagonal_microlocal_chain(germ, window=Fraction(1)))
+            jumps[ms] = set(usual_jumpset(micro, Fraction(2)).values)
+        guarded = jumps[ms] | {threshold}
+        den = lcm(60, min_gap.denominator, *(t.denominator for t in guarded))
+        gap = min_gap.numerator * (den // min_gap.denominator)
+        nums = [t.numerator * (den // t.denominator) for t in guarded]
+        step = den // 60
+        candidates = [Fraction(j, 60) for j in range(1, 58)
+                      if all(abs(j * step - t) >= gap for t in nums)]
+        if not candidates:
+            continue
+        alpha = candidates[int(rng.integers(0, len(candidates)))]
+        cases.append(MonteCarloCase(germ, nu, alpha, alpha < threshold))
+    return cases

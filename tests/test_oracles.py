@@ -18,7 +18,10 @@ from tsmult.oracles import (Constraint, MonteCarloConfig, exact_monomial_integra
                             fm_feasible, mc_case_set, monte_carlo_integrable,
                             newton_membership, one_var_integrable, summation_path)
 
-from bruteforce import bf_fm_feasible, bf_mc_estimates, bf_spectrum
+from bruteforce import bf_fm_feasible, bf_mc_case_set, bf_mc_estimates, bf_spectrum
+
+# a log(0) or a 0 * inf in the Monte Carlo kernel fails the test that meets it
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 def test_one_var_integrable_goldens():
@@ -226,26 +229,83 @@ _MC_CASES = [(Germ((3,)), (1,), F(1, 4)), (Germ((2, 3)), (0, 0), F(7, 10)),
              (Germ((3,), ("x",), (F(-3, 2),)), (1,), F(1, 4))]
 
 
+def _want_verdict(ratio: float, config: MonteCarloConfig) -> str:
+    if ratio <= 1 - config.margin:
+        return "Integrable"
+    if ratio >= 1 + config.margin:
+        return "Divergent"
+    return "Inconclusive"
+
+
+def _assert_matches_reference(germ, nu, alpha, config):
+    got = monte_carlo_integrable(germ, nu, alpha, config)
+    estimates, ratio = bf_mc_estimates(germ, nu, alpha, config)
+    assert [s["estimate"] for s in got["shells"]] == pytest.approx(estimates, rel=1e-9), \
+        (germ, nu, alpha)
+    assert got["ratio"] == pytest.approx(ratio, rel=1e-9), (germ, nu, alpha)
+    assert got["verdict"] == _want_verdict(ratio, config), (germ, nu, alpha)
+
+
 def test_monte_carlo_matches_complex_formula():
-    # the real-arithmetic kernel on the same draws as the complex formula
+    # the log-domain kernel on the same draws as the complex formula
     # z = r exp(2 pi i theta), |sum c_j z_j^m_j|: the same floats up to
     # rounding, and the same verdict; few samples let one sample near a
     # zero of f carry an estimate, and the default count is the one in use
     cases = [(c.germ, c.nu, c.alpha) for c in mc_case_set(count=40, seed=1)] + _MC_CASES
     for config in (MonteCarloConfig(samples=50), MonteCarloConfig(shells=2)):
         for germ, nu, alpha in cases:
-            got = monte_carlo_integrable(germ, nu, alpha, config)
-            estimates, ratio = bf_mc_estimates(germ, nu, alpha, config)
-            assert [s["estimate"] for s in got["shells"]] == pytest.approx(estimates, rel=1e-9), \
-                (germ, nu, alpha)
-            assert got["ratio"] == pytest.approx(ratio, rel=1e-9), (germ, nu, alpha)
-            if ratio <= 1 - config.margin:
-                want = "Integrable"
-            elif ratio >= 1 + config.margin:
-                want = "Divergent"
-            else:
-                want = "Inconclusive"
-            assert got["verdict"] == want, (germ, nu, alpha)
+            _assert_matches_reference(germ, nu, alpha, config)
+
+
+_LOG_DOMAIN_EDGES = [
+    # equal moduli, so |f| comes near 0 where cos^2 does
+    (Germ((2, 2), ("x", "y"), (1, -1)), (0, 0), F(1, 3)),
+    (Germ((2, 2), ("x", "y"), (1, -1)), (0, 1), F(1, 3)),
+    (Germ((3, 3), ("x", "y"), (F(1, 2), F(-1, 2))), (1, 0), F(1, 3)),
+    (Germ((2, 4), ("x", "y"), (-1, -3)), (1, 1), F(1, 2)),
+    # alpha = 0: a factor of 1, and the estimate is the weighted volume
+    (Germ((2, 3)), (1, 0), F(0)),
+    (Germ((3,)), (0,), F(0)),
+]
+
+
+@pytest.mark.parametrize("germ, nu, alpha", _LOG_DOMAIN_EDGES)
+def test_monte_carlo_log_domain_edges(germ, nu, alpha):
+    for config in (MonteCarloConfig(), MonteCarloConfig(samples=50),
+                   MonteCarloConfig(shells=2)):
+        _assert_matches_reference(germ, nu, alpha, config)
+
+
+class _ZeroFirstDraw:
+    """A generator whose first draw has u = 0 in every variable of sample 0
+    and u = 0 in the first variable of sample 1."""
+
+    def __init__(self, rng):
+        self.rng, self.first = rng, True
+
+    def random(self, size=None, out=None):
+        got = self.rng.random(size, out=out)
+        if self.first:
+            got[0, :] = 0.0
+            got[1, 0] = 0.0
+            self.first = False
+        return got
+
+
+@pytest.mark.parametrize("germ, nu, alpha", [
+    (Germ((3,)), (1,), F(1, 4)), (Germ((3,)), (0,), F(1, 4)),
+    (Germ((2, 3)), (1, 0), F(7, 10)), (Germ((2, 3)), (0, 2), F(1, 2)),
+    (Germ((2, 3)), (0, 0), F(0)), (Germ((2, 3, 4)), (1, 0, 0), F(1, 3))])
+def test_monte_carlo_zero_draw(monkeypatch, germ, nu, alpha):
+    # u = 0 is log u = -inf: 0 where nu_j > 0, as 0^nu_j, a factor of 1
+    # elsewhere, and the floor on |f| where every variable is 0
+    real_rng = oracles.np.random.default_rng
+    monkeypatch.setattr(oracles.np.random, "default_rng",
+                        lambda seed: _ZeroFirstDraw(real_rng(seed)))
+    config = MonteCarloConfig(shells=4, samples=200)
+    got = monte_carlo_integrable(germ, nu, alpha, config)
+    assert all(math.isfinite(s["estimate"]) for s in got["shells"])
+    _assert_matches_reference(germ, nu, alpha, config)
 
 
 def test_monte_carlo_bits_do_not_depend_on_workers(monkeypatch):
@@ -285,6 +345,13 @@ def test_monte_carlo_shell_exception_reaches_caller(monkeypatch, capfd, failing_
         monte_carlo_integrable(Germ((2, 3)), (0, 0), F(7, 10))
     assert threading.active_count() == before
     assert capfd.readouterr().err == ""
+
+
+def test_mc_case_set_matches_grid_scan():
+    # each guarded value rules out one interval of the 1/60 grid
+    for seed in range(10):
+        assert mc_case_set(count=60, seed=seed) == bf_mc_case_set(count=60, seed=seed), seed
+    assert mc_case_set(count=200, seed=1) == bf_mc_case_set(count=200, seed=1)
 
 
 def test_mc_case_set_deterministic_and_gapped():

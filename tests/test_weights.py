@@ -338,6 +338,45 @@ def test_pairing_peak_within_admitted_bytes(monkeypatch, ms, right):
     assert peak <= max(admitted), peak / len(model.weight)
 
 
+def test_steps_refused_before_the_pairs(monkeypatch):
+    # the steps outgrow the model: at a table limit the model's build
+    # passes, reading the steps is refused in one line, before any pair
+    # array is made, and the model is untouched
+    admitted = []
+    real_admit = weights._admit
+    monkeypatch.setattr(weights, "_admit",
+                        lambda nbytes, *what: (admitted.append(nbytes), real_admit(nbytes, *what)))
+    diagonal_microlocal_chain(Germ((30, 31)))
+    monkeypatch.setattr(weights, "MAX_TABLE_BYTES", max(admitted))
+    chain = diagonal_microlocal_chain(Germ((30, 31)))
+    with pytest.raises(ResourceLimit) as refused:
+        chain.steps
+    message = str(refused.value)
+    assert "\n" not in message
+    assert message.startswith("steps of 6960 atoms below 2: 1305 levels, "
+                              "45703 (level, generator) pairs: ")
+    assert chain.model == diagonal_model((30, 31), chain.model.cap)
+
+
+@pytest.mark.parametrize("ms", [(30, 31), (60, 61), (7, 8, 9), (5, 6, 7, 8), (200,)])
+def test_steps_peak_within_admitted_bytes(monkeypatch, ms):
+    # reading a chain's steps, its pair table and the step objects made
+    # from it, peaks within the bytes the pair count was admitted at
+    chain = diagonal_microlocal_chain(Germ(ms))
+    admitted = []
+    monkeypatch.setattr(weights, "_admit", lambda nbytes, *what: admitted.append(nbytes))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        chain.steps
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    held = sum(a.nbytes for a in (chain.model.exps, chain.model.weight, chain.model.drop))
+    assert len(admitted) == 1
+    assert peak + held <= admitted[0], (peak, held, admitted)
+
+
 def test_int64_overflow_refused():
     # cap * lcm(m) is about 1.5e19, past 2^63
     with pytest.raises(ResourceLimit, match=r"weight model of \(1291, .* overflow 64-bit"):
