@@ -29,6 +29,7 @@ from typing import TYPE_CHECKING, Callable, Sequence
 from .errors import GermParseError, OracleMismatch, TsmultError
 from .germs import (DEFAULT_WINDOW, Germ, diagonal_microlocal_chain,
                     diagonal_usual_chain, lct, one_var_microlocal_chain)
+from .monomial import as_fraction
 
 if TYPE_CHECKING:
     from .monomial import QuotientBasis
@@ -97,7 +98,7 @@ def parse(text: str) -> Germ:
 
 def _rat(text: str) -> Fraction:
     try:
-        return Fraction(text)
+        return as_fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise argparse.ArgumentTypeError(f"not a rational: {text!r}") from exc
 

@@ -20,7 +20,7 @@ from . import weights
 from .errors import ChainKindError, NotReduced, WindowExceeded
 from .filtration import JumpChain, JumpSet
 from .germs import Germ, diagonal_microlocal_chain
-from .monomial import MonomialIdeal, QuotientBasis, Rat
+from .monomial import MonomialIdeal, QuotientBasis, Rat, as_fraction
 from .spectral import spectrum_of
 
 
@@ -31,7 +31,7 @@ def ts_convolve_chains(c1: JumpChain, c2: JumpChain,
         if c.mode != "V":
             raise ChainKindError("chain convolution expects V-mode chains")
     max_window = min(c1.window, c2.window)
-    window = max_window if window is None else Fraction(window)
+    window = max_window if window is None else as_fraction(window)
     if window > max_window:
         raise WindowExceeded(f"requested window {window} exceeds a factor window {max_window}")
     return JumpChain(weights.convolve(c1.model, c2.model, cap=window + 2), "V", window)
@@ -48,7 +48,7 @@ def ts_multiplier(c1: JumpChain, c2: JumpChain, alpha: Fraction) -> MonomialIdea
     for alpha over the convolved denominator, weights._least_cap, which
     is also enough for every generator.
     """
-    alpha = Fraction(alpha)
+    alpha = as_fraction(alpha)
     if not 0 < alpha < 1:
         raise WindowExceeded(f"alpha = {alpha} is outside (0, 1); "
                              "use periodic_extend for larger parameters")
@@ -66,12 +66,12 @@ def ts_jumpset(s1: JumpSet, s2: JumpSet, window: Fraction | None = None) -> Jump
     so the pairs are counted and admitted (40 bytes each, measured) before
     they are formed; a sort and a diff keep the distinct sums."""
     if not len(s1.keys) or not len(s2.keys):
-        w = min(s1.window, s2.window) if window is None else Fraction(window)
+        w = min(s1.window, s2.window) if window is None else as_fraction(window)
         return JumpSet(1, s1.keys[:0], w)
     # each factor's levels are complete below its window only
     reach = min(s1.window + Fraction(int(s2.keys[0]), s2.denom),
                 s2.window + Fraction(int(s1.keys[0]), s1.denom))
-    window = reach if window is None else Fraction(window)
+    window = reach if window is None else as_fraction(window)
     if window > reach:
         raise WindowExceeded("factor jump sets are too short for the requested window")
     denom = lcm(s1.denom, s2.denom)
@@ -89,10 +89,11 @@ def ts_jumpset(s1: JumpSet, s2: JumpSet, window: Fraction | None = None) -> Jump
 
 def ts_lct(l1: Rat, l2: Rat) -> Rat:
     """Threshold of the sum from factor thresholds, clamped at 1."""
+    l1, l2 = as_fraction(l1), as_fraction(l2)
     for l in (l1, l2):
         if not 0 < l <= 1:
             raise ValueError(f"{l} is not a log canonical threshold of a germ (range (0, 1])")
-    return min(Fraction(1), Fraction(l1) + Fraction(l2))
+    return min(Fraction(1), l1 + l2)
 
 
 @dataclass(frozen=True)
@@ -123,11 +124,11 @@ def ts_graded(c1: JumpChain, c2: JumpChain, alpha: Fraction) -> list[GradedSumma
     A scaled to D, and of A minus those of the second factor: one
     intersect1d.  Only the returned blocks' levels become Fractions.
     """
-    alpha = Fraction(alpha)
+    alpha = as_fraction(alpha)
     for c in (c1, c2):
         if c.mode != "V":
             raise ChainKindError("graded convolution expects V-mode chains")
-        if alpha >= c.window:
+        if not 0 <= alpha < c.window:
             raise WindowExceeded(f"alpha = {alpha} outside factor window [0, {c.window})")
     denom = lcm(c1.model.denom, c2.model.denom)
     if (alpha * denom).denominator != 1:

@@ -12,13 +12,13 @@ from __future__ import annotations
 import gc
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil
+from math import ceil, lcm
 
 import numpy as np
 
 from . import weights
 from .errors import ChainKindError, WindowExceeded
-from .monomial import MonomialIdeal, QuotientBasis, ScaledIdeal
+from .monomial import MonomialIdeal, QuotientBasis, ScaledIdeal, _Frozen, as_fraction
 
 
 @dataclass(frozen=True)
@@ -56,7 +56,9 @@ class JumpSet(weights._Table):
 
     def __init__(self, denom: int, keys: np.ndarray, window: Fraction,
                  periodic_tail: bool = False):
-        window = Fraction(window)
+        window = as_fraction(window)
+        if window <= 0:
+            raise ValueError("window must be positive")
         keys = np.asarray(keys, dtype=np.int64)
         if np.any(keys[1:] <= keys[:-1]):
             raise ValueError("jump levels must be distinct and ascending")
@@ -76,35 +78,32 @@ class JumpSet(weights._Table):
         }
 
 
-class JumpChain:
+class JumpChain(_Frozen):
     """A V- or J-mode chain of monomial ideals on [0, window).
 
     A view of one weight model: each step holds the ideal valid just after
     its level, so the final open segment up to the window is always
-    represented.  Steps are made on the first read of `steps`, in one
-    batch from the integer step table of the model, and kept.
+    represented.  Steps are made on each read of `steps`, in one batch
+    from the integer step table of the model, and never kept.
 
     A read below the window asks for generators weighing up to 1 more,
     so a model whose cap is less than 1 above the window, which would
     miss some and answer wrongly, is refused here with WindowExceeded.
     """
 
-    __slots__ = ("model", "mode", "window", "_steps")
+    __slots__ = ("model", "mode", "window")
 
     def __init__(self, model: weights.WeightModel, mode: str, window: Fraction):
         if mode not in ("V", "J"):
             raise ChainKindError(f"unknown chain mode {mode!r}")
-        window = Fraction(window)
+        window = as_fraction(window)
         if window <= 0:
             raise ValueError("window must be positive")
         need = weights._least_cap(window, model.denom, strict=False)
         if need > model.cap:
             raise WindowExceeded(f"window {window} needs a model cap of at least {need}, "
                                  f"not {model.cap}")
-        self.model = model
-        self.mode = mode
-        self.window = window
-        self._steps = None
+        self.__setstate__((None, {"model": model, "mode": mode, "window": window}))
 
     @property
     def dim(self) -> int:
@@ -116,26 +115,24 @@ class JumpChain:
 
     @property
     def steps(self) -> tuple[JumpStep, ...]:
-        if self._steps is None:
-            self._steps = _make_steps(self.model, self.window)
-        return self._steps
+        return _make_steps(self.model, self.window)
 
     @property
     def levels(self) -> tuple[Fraction, ...]:
         return jumpset_of(self).values
 
     def _check_window(self, alpha: Fraction) -> Fraction:
-        alpha = Fraction(alpha)
+        alpha = as_fraction(alpha)
         if alpha < 0 or alpha >= self.window:
             raise WindowExceeded(f"alpha = {alpha} outside the computed window [0, {self.window})")
         return alpha
 
     def to_json(self) -> dict:
-        ideals = [s.ideal for s in self.steps]
-        if self.mode == "V":
-            # a level carries the value of the segment ending there
-            ideals = [self.top, *ideals[:-1]]
-        jumps = [{"level": str(s.level), "ideal": i.to_json()} for s, i in zip(self.steps, ideals)]
+        steps = self.steps
+        ideals = [s.ideal for s in steps]
+        if self.mode == "V":  # a level carries the value of the segment ending there
+            ideals.insert(0, self.top)
+        jumps = [{"level": str(s.level), "ideal": i.to_json()} for s, i in zip(steps, ideals)]
         return {
             "mode": self.mode,
             "window": str(self.window),
@@ -145,13 +142,18 @@ class JumpChain:
         }
 
     def __eq__(self, other: object) -> bool:
+        """Equal steps, read off the models: below the window, {w <= v} holds
+        only rows lighter than the window, and such a row's weight is the first
+        level whose ideal misses it, so the steps and those rows fix each other."""
         if not isinstance(other, JumpChain):
             return NotImplemented
         if (self.mode, self.window, self.dim) != (other.mode, other.window, other.dim):
             return False
-        return self.model == other.model or self.steps == other.steps
-
-    __hash__ = None
+        denom = lcm(self.model.denom, other.model.denom)
+        (wa, ra), (wb, rb) = (weights._light_rows(c.model, self.window, denom)
+                              for c in (self, other))
+        return np.array_equal(wa, wb) and np.array_equal(self.model.exps[ra],
+                                                         other.model.exps[rb])
 
     def __repr__(self) -> str:
         jumps = len(weights._levels_below(self.model, self.window))  # makes no step
@@ -177,9 +179,7 @@ def v_to_j(chain: JumpChain) -> JumpChain:
     """Right-continuous view of a V-mode chain: same levels, post-jump values."""
     if chain.mode != "V":
         raise ChainKindError("v_to_j expects a V-mode chain")
-    view = JumpChain(chain.model, "J", chain.window)
-    view._steps = chain._steps
-    return view
+    return JumpChain(chain.model, "J", chain.window)
 
 
 def graded_at(chain: JumpChain, alpha: Fraction) -> QuotientBasis:
@@ -202,7 +202,7 @@ def usual_jumpset(microlocal: JumpSet, window: Fraction) -> JumpSet:
     repeats with period 1: over the denominator D, the base (the microlocal
     keys below D, then D) shifted by s·D for s = 0, 1, .., cut at the window.
     """
-    window = Fraction(window)
+    window = as_fraction(window)
     if microlocal.window < 1:
         raise WindowExceeded("need the microlocal jump set at least on (0, 1)")
     denom, keys = microlocal.denom, microlocal.keys
@@ -226,7 +226,7 @@ def periodic_extend(chain: JumpChain, alpha: Fraction) -> ScaledIdeal:
     """
     if chain.mode != "J":
         raise ChainKindError("periodic_extend expects a J-mode chain")
-    alpha = Fraction(alpha)
+    alpha = as_fraction(alpha)
     if alpha < 0:
         raise ValueError("alpha must be nonnegative")
     k = alpha.numerator // alpha.denominator

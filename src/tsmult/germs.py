@@ -94,7 +94,7 @@ def diagonal_microlocal_chain(germ: Germ, window: Fraction = DEFAULT_WINDOW) -> 
     is sum_j w(m_j, nu_j) >= a, with w the one-variable microlocal weight."""
     # imported here, so a germ and its lct load no weight-model code
     from . import filtration, weights
-    window = Fraction(window)
+    window = as_fraction(window)
     model = weights.diagonal_model(germ.exponents, cap=window + 2)
     return filtration.JumpChain(model, "V", window)
 
@@ -111,7 +111,7 @@ def diagonal_usual_chain(germ: Germ, window: Fraction = Fraction(1)) -> JumpChai
     lighter than 1.  Past 1 the usual chain is no longer monomial and is
     reached through periodic_extend.
     """
-    window = Fraction(window)
+    window = as_fraction(window)
     if window > 1:
         raise WindowExceeded("usual chains are monomial on [0, 1) only; "
                              "use periodic_extend beyond")

@@ -27,9 +27,7 @@ def as_fraction(x: object) -> Fraction:
         return x
     if isinstance(x, bool):
         raise TypeError("bool is not a rational number")
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, str):
+    if isinstance(x, (int, str)):
         return Fraction(x)
     raise TypeError(f"expected an exact rational, got {type(x).__name__}")
 

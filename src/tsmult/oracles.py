@@ -30,7 +30,7 @@ import numpy as np
 from .errors import OracleMismatch
 from .germs import Germ, diagonal_microlocal_chain, one_var_weight, one_var_usual_chain
 from .filtration import j_lookup, jumpset_of, usual_jumpset
-from .monomial import MonomialIdeal, Rat, external_product, ideal_sum
+from .monomial import MonomialIdeal, Rat, as_fraction, external_product, ideal_sum
 from .weights import NO_DROP, WeightModel
 
 
@@ -42,7 +42,7 @@ def one_var_integrable(g: int, m: int, alpha: Rat) -> bool:
     """
     if g < 0 or m < 2:
         raise ValueError("need g >= 0 and m >= 2")
-    alpha = Fraction(alpha)
+    alpha = as_fraction(alpha)
     if alpha < 0:
         raise ValueError("alpha must be nonnegative")
     return g + 1 > alpha * m
@@ -172,7 +172,7 @@ def newton_membership(a: MonomialIdeal, nu: Sequence[int], alpha: Rat) -> bool:
     """
     if a.is_zero:
         raise ValueError("the zero ideal has no Newton polyhedron")
-    alpha = Fraction(alpha)
+    alpha = as_fraction(alpha)
     if alpha <= 0:
         raise ValueError("alpha must be positive")
     nu = tuple(int(v) for v in nu)
@@ -200,7 +200,7 @@ def summation_path(m1: int, m2: int, alpha: Rat) -> MonomialIdeal:
     chains, one external product per interval between adjacent candidate
     split points.  The routes must agree; the common ideal is returned.
     """
-    alpha = Fraction(alpha)
+    alpha = as_fraction(alpha)
     if not 0 < alpha < 1:
         raise ValueError("alpha must lie in (0, 1)")
     a = MonomialIdeal(2, [(m1, 0), (0, m2)])
@@ -295,7 +295,7 @@ def monte_carlo_integrable(germ: Germ, nu: Sequence[int], alpha: Rat,
     the call returns, and an exception in one is raised here.
     """
     config = config or MonteCarloConfig()
-    alpha = Fraction(alpha)
+    alpha = as_fraction(alpha)
     nu = tuple(int(v) for v in nu)
     if len(nu) != germ.dim or any(v < 0 for v in nu):
         raise ValueError(f"bad monomial exponent {nu} for a {germ.dim}-variable germ")
@@ -455,7 +455,7 @@ def exact_monomial_integrable(germ: Germ, nu: Sequence[int], alpha: Rat) -> bool
     monomial survives because the integrand blows up along the whole
     divisor, not just at the origin.
     """
-    alpha = Fraction(alpha)
+    alpha = as_fraction(alpha)
     weight = sum(one_var_weight(m, v, usual=True)
                  for m, v in zip(germ.exponents, nu))
     return alpha < min(weight, Fraction(1))

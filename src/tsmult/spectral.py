@@ -23,7 +23,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .germs import Germ, alpha_tilde, milnor_number
-from .monomial import Rat
+from .monomial import Rat, as_fraction
 from .weights import _admit, _admit_int64, _runs, _Table
 
 
@@ -70,7 +70,7 @@ def _parse(entries: Iterable[tuple[Rat, int]], what: str, span: int
            ) -> tuple[int, np.ndarray, np.ndarray]:
     """Denominator, keys and counts of (value, multiplicity) entries with
     |value| < span, in any order; a repeated value's multiplicities add."""
-    entries = [(Fraction(v), m) for v, m in entries]
+    entries = [(as_fraction(v), m) for v, m in entries]
     for v, m in entries:
         if m < 1:
             raise ValueError(f"multiplicity at {v} must be positive")

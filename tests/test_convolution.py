@@ -9,7 +9,8 @@ from tsmult.convolution import (alpha_one_sequence_check, irrationality_dim,
                                 irrationality_module, ts_convolve_chains,
                                 ts_graded, ts_jumpset, ts_lct, ts_multiplier)
 from tsmult.errors import ChainKindError, NotReduced, ResourceLimit, WindowExceeded
-from tsmult.filtration import JumpSet, jumpset_of, periodic_extend, v_lookup, v_to_j
+from tsmult.filtration import (JumpSet, graded_at, jumpset_of, periodic_extend, v_lookup,
+                               v_to_j)
 from tsmult.germs import (Germ, diagonal_microlocal_chain, diagonal_usual_chain,
                           lct, one_var_microlocal_chain)
 from tsmult.weights import generators_at
@@ -131,6 +132,10 @@ def test_ts_jumpset():
         ts_jumpset(s1, s2, window=F(3))
     trimmed = ts_jumpset(s1, s2, window=F(1))
     assert trimmed.values == tuple(v for v in direct.values if v < 1)
+    empty = JumpSet(1, [], F(1))
+    for a, b in ((s1, s2), (empty, s2)):
+        with pytest.raises(ValueError, match="window must be positive"):
+            ts_jumpset(a, b, window=F(-1))
 
 
 @pytest.mark.parametrize("ms1,ms2", [((2,), (3,)), ((4, 5), (3,)), ((2, 2), (2, 3)),
@@ -179,6 +184,12 @@ def test_ts_graded_cusp():
     assert ts_graded(c1, c2, F(1)) == []
     blocks = ts_graded(c1, c2, F(7, 6))
     assert [(b.level1, b.level2, b.dim) for b in blocks] == [(F(1, 2), F(2, 3), 1)]
+    # below 0 as at the window, as graded_at on the convolved chain refuses
+    for alpha in (F(-1), F(2)):
+        with pytest.raises(WindowExceeded, match=rf"{alpha} outside factor window \[0, 2\)"):
+            ts_graded(c1, c2, alpha)
+        with pytest.raises(WindowExceeded):
+            graded_at(ts_convolve_chains(c1, c2), alpha)
 
 
 def test_ts_graded_total_matches_direct():

@@ -1,18 +1,21 @@
 import gc
 import itertools
 import math
+from collections import Counter
+import pickle
+import random
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
 
-from tsmult import filtration
+from tsmult import filtration, weights
 from tsmult.convolution import ts_convolve_chains, ts_graded
 from tsmult.errors import ChainKindError, ResourceLimit, WindowExceeded
 from tsmult.filtration import (JumpChain, JumpSet, JumpStep, graded_at,
                                j_lookup, jumpset_of, periodic_extend,
                                usual_jumpset, v_lookup, v_to_j)
-from tsmult.germs import (Germ, diagonal_microlocal_chain, diagonal_usual_chain,
+from tsmult.germs import (Germ, alpha_tilde, diagonal_microlocal_chain, diagonal_usual_chain,
                           one_var_microlocal_chain)
 from tsmult.monomial import MonomialIdeal
 from tsmult.weights import diagonal_model, rescaled
@@ -74,7 +77,7 @@ def test_mode_gating():
 
 def test_chain_equality_across_model_caps():
     chain = one_var_microlocal_chain(3, window=F(2))
-    # a larger cap gives a different atom table, so equality falls back to steps
+    # a larger cap gives a different atom table, with the same rows below the window
     wide = JumpChain(diagonal_model((3,), cap=F(5)), "V", F(2))
     assert chain == wide
     assert wide == chain
@@ -91,10 +94,75 @@ def test_chain_equality_across_model_caps():
     assert cusp.steps != swapped.steps and cusp != swapped
 
 
-def test_v_to_j_shares_filled_steps():
-    chain = one_var_microlocal_chain(3, window=F(2))
-    steps = chain.steps
-    assert v_to_j(chain).steps is steps
+def _equal_steps(a, b):
+    """Chain equality as it was defined before it was read off the models."""
+    return (a.mode, a.window, a.dim) == (b.mode, b.window, b.dim) and a.steps == b.steps
+
+
+def _chain(rng, ms, window, mode):
+    """A chain of ms on the window over a model of random cap and denominator."""
+    model = diagonal_model(ms, cap=window + rng.randint(2, 5))
+    return JumpChain(rescaled(model, model.denom * rng.choice((1, 2, 5))), mode, window)
+
+
+def test_equality_is_step_equality():
+    # equal chains over models of other caps and denominators, and near
+    # misses: permuted or nudged exponents, other windows and modes, and
+    # windows at or below alpha~ = sum 1/m, where no row is light and any
+    # two chains of one dim, mode and window have no steps
+    rng = random.Random(20261022)
+    drawn = Counter()
+    for _ in range(600):
+        ms = tuple(rng.randint(2, 7) for _ in range(rng.randint(1, 3)))
+        other = list(ms)
+        if rng.random() < 0.5:
+            rng.shuffle(other)
+        else:
+            j = rng.randrange(len(other))
+            other[j] = max(2, other[j] + rng.choice((-1, 1)))
+        window = F(rng.randint(1, 30), rng.choice((4, 6, 12)))
+        mode = rng.choice("VJ")
+        b_ms = rng.choice((ms, tuple(other)))
+        a = _chain(rng, ms, window, mode)
+        b = _chain(rng, b_ms, window if rng.random() < 0.9 else window + F(1, 12),
+                   mode if rng.random() < 0.9 else "VJ"[mode == "V"])
+        want = _equal_steps(a, b)
+        assert (a == b, b == a) == (want, want), (ms, b_ms, a, b)
+        drawn[want] += 1
+        if want and window <= alpha_tilde(Germ(ms)) and sorted(ms) != sorted(b_ms):
+            drawn["equal below alpha~"] += 1
+    # both verdicts are drawn often, and so are equal chains of other
+    # exponents below alpha~, which an equality keeping the zero row misses
+    assert min(drawn[True], drawn[False], 10 * drawn["equal below alpha~"]) >= 100, drawn
+
+
+def test_equality_makes_no_steps(monkeypatch):
+    # the steps of these two chains hold 8.1 million (level, generator) pairs
+    # each, and comparing them took over a second; their light rows differ
+    def no_steps(*args):
+        raise AssertionError("equality made the steps")
+
+    monkeypatch.setattr(weights, "MAX_TABLE_BYTES", 1 << 27)
+    a = diagonal_microlocal_chain(Germ((60, 61, 7)))
+    b = diagonal_microlocal_chain(Germ((61, 60, 7)))
+    with pytest.raises(ResourceLimit, match="steps of"):
+        a.steps
+    monkeypatch.setattr(filtration, "_make_steps", no_steps)
+    monkeypatch.setattr(weights, "_strict_steps", no_steps)
+    assert a != b and b != a
+    assert a == JumpChain(a.model, "V", a.window) and v_to_j(a) != a
+
+
+def test_chain_holds_its_model_and_no_step():
+    chain = diagonal_microlocal_chain(Germ((2, 3)), window=F(2))
+    size = len(pickle.dumps(chain))
+    assert chain.steps == chain.steps and chain.steps is not chain.steps
+    assert len(pickle.dumps(chain)) == size
+    with pytest.raises(AttributeError):
+        chain.window = F(1)
+    assert chain.window == 2
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(chain)
 
 
 def test_steps_share_generators_and_resume_the_collector():
@@ -182,6 +250,12 @@ def test_jumpset_table_is_canonical_and_read_only():
     with pytest.raises(ValueError, match="distinct and ascending"):
         JumpSet(6, [6, 5], F(3))
     assert JumpSet(6, [5, 6], F(3)) == table  # any integer sequence
+    # a window must be positive, as a chain's must, an empty set's too
+    for window in (F(0), F(-1)):
+        with pytest.raises(ValueError, match="window must be positive"):
+            JumpSet(6, [], window)
+        with pytest.raises(ValueError, match="window must be positive"):
+            usual_jumpset(table, window)
 
 
 def test_usual_jumpset_refuses_int64_overflow():

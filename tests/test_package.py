@@ -1,6 +1,7 @@
 """The package's lazy exports, the command line's BLAS thread default and
-cold-start imports, and guards that the sources call no BLAS routine and
-load no oracle on import.
+cold-start imports, guards that the sources call no BLAS routine and load
+no oracle on import, and that every public rational parameter refuses a
+float.
 
 The import checks run in a child process, where no earlier test has loaded
 numpy or a tsmult submodule.
@@ -9,6 +10,7 @@ numpy or a tsmult submodule.
 import ast
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -204,6 +206,85 @@ def test_only_the_frozen_base_defines_setattr_and_setstate():
                           if isinstance(item, ast.FunctionDef)
                           and item.name in ("__setattr__", "__setstate__")]
     assert found == ["monomial._Frozen.__setstate__", "monomial._Frozen.__setattr__"]
+
+
+def test_only_as_fraction_coerces_to_fraction():
+    # Fraction(x) takes a float, 5/6 as 7505999378950827/9007199254740992;
+    # monomial.as_fraction refuses it, so a parameter coerced any other way
+    # would fail here
+    found = []
+    for path in sorted((SRC / "tsmult").glob("*.py")):
+        stack = [ast.parse(path.read_text(), str(path))]
+        while stack:
+            node = stack.pop()
+            if isinstance(node, ast.FunctionDef) and node.name == "as_fraction":
+                continue
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id in ("Fraction", "Rat") and len(node.args) == 1
+                    and isinstance(node.args[0], ast.Name)):
+                found.append(f"{path.name}:{node.lineno}")
+            stack.extend(ast.iter_child_nodes(node))
+    assert found == []
+
+
+def _float_calls():
+    """One call per public rational parameter, each passing a float there."""
+    from tsmult import cli, oracles
+    from tsmult.convolution import (ts_convolve_chains, ts_graded, ts_jumpset, ts_lct,
+                                    ts_multiplier)
+    from tsmult.filtration import (JumpChain, JumpSet, graded_at, j_lookup, jumpset_of,
+                                   periodic_extend, usual_jumpset, v_lookup, v_to_j)
+    from tsmult.germs import Germ, diagonal_microlocal_chain, diagonal_usual_chain
+    from tsmult.monomial import MonomialIdeal
+    from tsmult.spectral import EigenTable, Spectrum
+
+    cusp = Germ((2, 3))
+    v = diagonal_microlocal_chain(cusp)
+    j = v_to_j(v)
+    jumps = jumpset_of(v)
+    return {
+        "JumpChain": lambda: JumpChain(v.model, "V", 1.0),
+        "JumpSet": lambda: JumpSet(6, [5], 1.0),
+        "v_lookup": lambda: v_lookup(v, 5 / 6),
+        "j_lookup": lambda: j_lookup(j, 0.5),
+        "graded_at": lambda: graded_at(v, 5 / 6),
+        "usual_jumpset": lambda: usual_jumpset(jumps, 2.0),
+        "periodic_extend": lambda: periodic_extend(j, 1.5),
+        "ts_convolve_chains": lambda: ts_convolve_chains(v, v, 1.0),
+        "ts_multiplier": lambda: ts_multiplier(v, v, 0.5),
+        "ts_jumpset": lambda: ts_jumpset(jumps, jumps, 1.0),
+        "ts_jumpset of an empty set": lambda: ts_jumpset(JumpSet(1, [], 1), jumps, 1.0),
+        "ts_lct": lambda: ts_lct(0.5, 0.5),
+        "ts_graded": lambda: ts_graded(v, v, 1.0),
+        "diagonal_microlocal_chain": lambda: diagonal_microlocal_chain(cusp, 1.0),
+        "diagonal_usual_chain": lambda: diagonal_usual_chain(cusp, 0.5),
+        "Germ": lambda: Germ((2, 3), coefficients=(0.5, 1)),
+        "Spectrum": lambda: Spectrum(2, [(5 / 6, 1)]),
+        "EigenTable": lambda: EigenTable([(-1 / 6, 1)]),
+        "one_var_integrable": lambda: oracles.one_var_integrable(0, 2, 0.5),
+        "newton_membership": lambda: oracles.newton_membership(
+            MonomialIdeal(2, [(2, 0), (0, 3)]), (0, 0), 0.5),
+        "summation_path": lambda: oracles.summation_path(2, 3, 0.5),
+        "exact_monomial_integrable": lambda: oracles.exact_monomial_integrable(cusp, (0, 0), 0.5),
+        "monte_carlo_integrable": lambda: oracles.monte_carlo_integrable(cusp, (0, 0), 0.5),
+        "cli._rat": lambda: cli._rat(0.5),
+        "a bool window": lambda: diagonal_microlocal_chain(cusp, True),
+    }
+
+
+def test_every_public_rational_parameter_refuses_a_float():
+    # v_lookup(x^2+y^3 chain, 5/6) read the float just below 5/6 and gave
+    # ((0, 1), (1, 0)), and graded_at there the zero piece
+    wrong = {}
+    for name, call in _float_calls().items():
+        try:
+            call()
+        except TypeError as exc:  # as_fraction's, not one of a wrong call
+            if not re.match("expected an exact rational|bool is not", str(exc)):
+                wrong[name] = repr(exc)
+        else:
+            wrong[name] = "accepted"
+    assert wrong == {}
 
 
 def _imported_on_load(tree):

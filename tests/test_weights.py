@@ -427,7 +427,7 @@ def test_achieved_levels_match_bruteforce():
 
 
 def test_tables_survive_pickle_and_copy():
-    # a chain survives with its model and the steps it has read, and so do
+    # a chain survives with its model, which makes the same steps, and so do
     # the unit and zero ideals; test_monomial checks every frozen value type
     chain = diagonal_microlocal_chain(Germ((2, 3)), window=F(2))
     steps = chain.steps
